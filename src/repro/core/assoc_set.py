@@ -23,7 +23,7 @@ __all__ = ["AssociationSet"]
 class AssociationSet:
     """An immutable, duplicate-free set of association patterns."""
 
-    __slots__ = ("_patterns", "_hash", "_by_class")
+    __slots__ = ("_patterns", "_hash", "_by_class", "wire_form")
 
     def __init__(self, patterns: Iterable[Pattern] = ()) -> None:
         # frozenset() of a frozenset is a no-op in CPython, so feeding an
@@ -34,6 +34,11 @@ class AssociationSet:
         self._hash: int | None = None
         self._by_class: Mapping[str, tuple[tuple[Pattern, frozenset[IID]], ...]] | None
         self._by_class = None
+        #: Memo slot for whichever layer serializes this (immutable) set
+        #: — ``repro.server`` keeps its wire encoding here, so the bytes
+        #: are shared by every request served from this object and freed
+        #: with it.
+        self.wire_form: object | None = None
 
     # ------------------------------------------------------------------
     # constructors
@@ -57,6 +62,7 @@ class AssociationSet:
         self._patterns = patterns
         self._hash = None
         self._by_class = None
+        self.wire_form = None
         return self
 
     @classmethod

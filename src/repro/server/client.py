@@ -33,6 +33,7 @@ export.
 
 from __future__ import annotations
 
+import select
 import socket
 import time
 import uuid
@@ -332,25 +333,26 @@ class ServerClient:
     ) -> dict[str, Any] | None:
         """The next buffered or wire notification frame, else ``None``.
 
-        Blocks up to ``timeout`` seconds for a frame to arrive
-        (``None`` = the connection's default timeout).  Returns ``None``
-        on timeout; raises :class:`ProtocolError` if the server closes
-        the connection or sends a non-notification frame while no
-        request is in flight.
+        Waits up to ``timeout`` seconds for a frame to *begin* arriving
+        (``None`` = the connection's default timeout; ``0`` = poll), then
+        reads it whole under the connection's default timeout — a short
+        or zero ``timeout`` can therefore never abandon a frame half
+        read.  Returns ``None`` on timeout; raises :class:`ProtocolError`
+        if the server closes the connection or sends a non-notification
+        frame while no request is in flight.
         """
         if self._notifications:
             return self._notifications.popleft()
-        previous = self._sock.gettimeout()
-        if timeout is not None:
-            self._sock.settimeout(timeout)
         try:
+            if timeout is not None and not select.select(
+                [self._sock], [], [], timeout
+            )[0]:
+                return None
             frame = recv_frame(self._sock)
         except socket.timeout:
             return None
         except OSError as exc:
             raise ServerError(f"connection failed: {exc}", "connection") from exc
-        finally:
-            self._sock.settimeout(previous)
         if frame is None:
             raise ProtocolError(
                 "server closed the connection while waiting for a notification"

@@ -70,7 +70,16 @@ structured error::
     {"ok": false, "error": {"code": "timeout", "message": "..."}}
 
 Error codes are stable protocol surface (:data:`ERROR_CODES`); the client
-raises the matching :class:`ServerError` subclass per code.
+raises the matching :class:`ServerError` subclass per code.  A response
+that would exceed :data:`MAX_FRAME_BYTES` is answered with
+``frame_too_large`` and the session stays usable — ask again with a
+smaller ``page_size``.
+
+Every ``patterns``/``added``/``removed`` array holds
+:func:`pattern_to_wire` objects in the service's canonical order.  The
+server produces them with :func:`encode_patterns` — the byte-level
+encoder defined by ``json.loads(fragment) == pattern_to_wire(pattern)`` —
+and splices the bytes into the frame (:class:`RawJSON`).
 
 Push frames (view subscriptions)
 --------------------------------
@@ -101,8 +110,11 @@ from __future__ import annotations
 import json
 import socket
 import struct
-from typing import Any
+from array import array
+from itertools import accumulate
+from typing import Any, Iterable
 
+from repro.core.edges import Polarity
 from repro.core.pattern import Pattern
 from repro.errors import ReproError
 
@@ -124,6 +136,9 @@ __all__ = [
     "write_frame",
     "pattern_to_wire",
     "wire_to_labels",
+    "RawJSON",
+    "EncodedPatterns",
+    "encode_patterns",
 ]
 
 #: Bumped on incompatible wire changes; echoed in the ``ping`` response.
@@ -207,9 +222,34 @@ def error_to_exception(error: dict[str, Any]) -> ServerError:
 # ----------------------------------------------------------------------
 
 
+class RawJSON(bytes):
+    """JSON text that is already encoded.
+
+    :func:`encode_frame` splices a top-level payload value of this type
+    into the frame body verbatim instead of serializing it again
+    (:meth:`EncodedPatterns.page` produces them).
+    """
+
+    __slots__ = ()
+
+
 def encode_frame(payload: dict[str, Any]) -> bytes:
-    """Header + JSON body for one message."""
+    """Header + JSON body for one message.
+
+    Top-level :class:`RawJSON` values are spliced into the body as they
+    are; the rest of the payload is serialized around them.
+    """
+    raw = {k: v for k, v in payload.items() if isinstance(v, RawJSON)}
+    if raw:
+        payload = {k: v for k, v in payload.items() if k not in raw}
     body = json.dumps(payload, sort_keys=True, default=str).encode("utf-8")
+    if raw:
+        members = [body[1:-1]] if payload else []
+        members += [
+            b"%b: %b" % (json.dumps(key).encode("utf-8"), value)
+            for key, value in raw.items()
+        ]
+        body = b"{%b}" % b", ".join(members)
     if len(body) > MAX_FRAME_BYTES:
         raise ProtocolError(
             f"frame of {len(body)} bytes exceeds MAX_FRAME_BYTES"
@@ -307,6 +347,84 @@ def pattern_to_wire(pattern: Pattern) -> dict[str, Any]:
             for e in pattern.edges
         ),
     }
+
+
+class EncodedPatterns:
+    """A pattern set encoded once: JSON fragments in the service's
+    canonical order, comma-joined in one buffer, plus each fragment's
+    offset — so any page of the result is a single slice.
+
+    Immutable once built; sessions paging the same result share it.
+    """
+
+    __slots__ = ("_buffer", "_offsets", "__weakref__")
+
+    def __init__(self, fragments: list[str]) -> None:
+        # ``ensure_ascii`` fragments: character offsets are byte offsets.
+        # offsets[i] is where fragment i starts; the entry past the last
+        # one closes it, as if a comma followed.
+        self._offsets = array(
+            "Q", accumulate((len(f) + 1 for f in fragments), initial=0)
+        )
+        self._buffer = ",".join(fragments).encode("ascii")
+
+    def __len__(self) -> int:
+        return len(self._offsets) - 1
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes this encoding holds (buffer plus offset table)."""
+        return len(self._buffer) + self._offsets.itemsize * len(self._offsets)
+
+    def page(self, start: int = 0, stop: int | None = None) -> RawJSON:
+        """Patterns ``start`` up to ``stop`` as one JSON array."""
+        offsets = self._offsets
+        stop = len(self) if stop is None else min(stop, len(self))
+        if start >= stop:
+            return RawJSON(b"[]")
+        return RawJSON(b"[%b]" % self._buffer[offsets[start] : offsets[stop] - 1])
+
+
+_POLARITY_JSON = {p.value: json.dumps(p.value) for p in Polarity}
+
+
+def encode_patterns(patterns: Iterable[Pattern]) -> EncodedPatterns:
+    """Wire-encode a pattern set in the service's canonical order.
+
+    The byte-level twin of ``sorted(map(pattern_to_wire, patterns),
+    key=lambda p: (p["vertices"], p["edges"]))`` — fragment ``i`` of the
+    result parses to element ``i`` of that list — without building the
+    list/dict tree: each pattern is formatted straight from its sorted
+    vertices and edges, and the sort runs on those tuples (which order
+    exactly as their ``[class, oid]`` list forms do).
+    """
+    vertex_json: dict[Any, str] = {}
+    rows = []
+    for pattern in patterns:
+        vertices = sorted(pattern.vertices)
+        edges = sorted([(e.u, e.v, e.polarity.value) for e in pattern.edges])
+        for vertex in vertices:
+            if vertex not in vertex_json:
+                cls, oid = vertex
+                vertex_json[vertex] = f"[{json.dumps(cls)},{json.dumps(oid)}]"
+        edges_json = ",".join(
+            [
+                f"[{vertex_json[u]},{vertex_json[v]},{_POLARITY_JSON[polarity]}]"
+                for u, v, polarity in edges
+            ]
+        )
+        vertices_json = ",".join([vertex_json[v] for v in vertices])
+        rows.append(
+            (
+                vertices,
+                edges,
+                f'{{"edges":[{edges_json}],"vertices":[{vertices_json}]}}',
+            )
+        )
+    # Patterns equal in both keys are equal, so the fragment never
+    # decides the order; it only rides along.
+    rows.sort()
+    return EncodedPatterns([fragment for _, _, fragment in rows])
 
 
 def wire_to_labels(wire_pattern: dict[str, Any]) -> str:

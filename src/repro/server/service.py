@@ -76,6 +76,7 @@ import json
 import threading
 import time
 import uuid
+import weakref
 from collections import deque
 from dataclasses import dataclass, field
 from concurrent.futures import ThreadPoolExecutor
@@ -91,9 +92,11 @@ from repro.obs.span import Span, Tracer
 from repro.server.admin import AdminServer
 from repro.server.protocol import (
     PROTOCOL_VERSION,
+    EncodedPatterns,
     ProtocolError,
+    encode_frame,
+    encode_patterns,
     error_response,
-    pattern_to_wire,
     read_frame,
     write_frame,
 )
@@ -135,14 +138,6 @@ class ServerConfig:
     shards: int | None = None  # worker processes per mounted database
 
 
-def _wire_patterns(patterns) -> list[dict[str, Any]]:
-    """Wire-encode a pattern set in the service's canonical order."""
-    return sorted(
-        (pattern_to_wire(p) for p in patterns),
-        key=lambda p: (p["vertices"], p["edges"]),
-    )
-
-
 @dataclass
 class _Subscription:
     """One session's live feed of one view's deltas.
@@ -172,7 +167,8 @@ class Session:
     database: Database
     peer: str = ""
     requests: int = 0
-    cursors: dict[str, list[list[dict[str, Any]]]] = field(default_factory=dict)
+    #: cursor id → (encoded result, index of the next pattern, page size)
+    cursors: dict[str, tuple[EncodedPatterns, int, int]] = field(default_factory=dict)
     subscriptions: dict[str, _Subscription] = field(default_factory=dict)
     writer: asyncio.StreamWriter | None = None
     write_lock: asyncio.Lock | None = None
@@ -237,6 +233,17 @@ class QueryService:
         )
         self._m_sessions = self.metrics.gauge(
             "repro_server_sessions", "Currently connected sessions"
+        )
+        wire_encode = self.metrics.counter(
+            "repro_wire_encode_total",
+            "Pattern sets put on the wire: served from a retained encoding "
+            "(hit) or encoded (miss)",
+        )
+        self._m_wire_hit = wire_encode.child(outcome="hit")
+        self._m_wire_miss = wire_encode.child(outcome="miss")
+        self._m_wire_bytes = self.metrics.gauge(
+            "repro_wire_encoded_bytes",
+            "Bytes of wire encodings currently retained by live association-sets",
         )
 
     # ------------------------------------------------------------------
@@ -356,6 +363,40 @@ class QueryService:
         }
 
     # ------------------------------------------------------------------
+    # result encoding
+    # ------------------------------------------------------------------
+
+    def _encoded(self, patterns, paged_over: int | None = None) -> EncodedPatterns:
+        """The wire encoding of ``patterns``, reusing a cached set's memo.
+
+        ``paged_over`` is given for the result of a cached query — an
+        immutable :class:`AssociationSet`, the *same object* on every
+        plan-cache hit — and is the request's page size.  A result that
+        spans several pages needs its bytes again for the fetches that
+        follow, so it is memoized on the set itself (``wire_form``) and
+        every later request for that set, whatever its page size, is
+        served from those bytes.  The memo lives exactly as long as the
+        set: invalidation, rollback and executor resets drop both
+        together.  Everything else — single-page answers,
+        ``use_cache=False`` results, the plain pattern collections of
+        view deltas and snapshots (``paged_over=None``) — encodes and
+        discards.
+        """
+        memo = paged_over is not None
+        if memo and patterns.wire_form is not None:
+            self._m_wire_hit.inc()
+            return patterns.wire_form
+        encoded = encode_patterns(patterns)
+        self._m_wire_miss.inc()
+        if memo and len(encoded) > paged_over:
+            # Workers racing on one set each encode it; the last store
+            # wins and the loser's bytes go with its cursor.
+            patterns.wire_form = encoded
+            self._m_wire_bytes.inc(encoded.nbytes)
+            weakref.finalize(encoded, self._m_wire_bytes.dec, encoded.nbytes)
+        return encoded
+
+    # ------------------------------------------------------------------
     # view subscriptions
     # ------------------------------------------------------------------
 
@@ -384,8 +425,8 @@ class QueryService:
                 "view": view.name,
                 "version": view.version,
                 "origin": origin,
-                "added": _wire_patterns(added),
-                "removed": _wire_patterns(removed),
+                "added": self._encoded(added).page(),
+                "removed": self._encoded(removed).page(),
             }
             try:
                 loop.call_soon_threadsafe(self._fanout_view_frame, key, frame)
@@ -466,7 +507,7 @@ class QueryService:
                     "view": sub.view,
                     "version": view.version,
                     "reason": reason,
-                    "patterns": _wire_patterns(view.patterns),
+                    "patterns": self._encoded(view.patterns).page(),
                     "count": len(view.patterns),
                 },
             )
@@ -521,14 +562,15 @@ class QueryService:
                     break
                 if request is None:
                     break  # client closed cleanly
-                response = await self._handle_request(session, request)
+                frame = await self._handle_request(session, request)
                 # Push frames this request itself caused (view deltas from
                 # a mutate) flush *before* the response: a session that
                 # mutates a view it subscribes to reads the delta, then
                 # the acknowledgement.
                 await self._flush_session(session)
                 async with session.write_lock:
-                    await write_frame(writer, response)
+                    writer.write(frame)
+                    await writer.drain()
                 if request.get("op") == "close":
                     break
         except (ConnectionError, asyncio.CancelledError):
@@ -550,7 +592,8 @@ class QueryService:
 
     async def _handle_request(
         self, session: Session, request: dict[str, Any]
-    ) -> dict[str, Any]:
+    ) -> bytes:
+        """Run one request; returns its encoded response frame."""
         op = str(request.get("op", ""))
         trace_id = _trace_id_of(request)
         session.requests += 1
@@ -568,6 +611,14 @@ class QueryService:
             elapsed = time.perf_counter() - started
             self._m_request_seconds.observe(elapsed, op=op or "?")
             self._track_request(-1)
+        try:
+            frame = encode_frame(response)
+        except ProtocolError as exc:
+            # An answer over the frame limit is refused, not dropped with
+            # the connection: the session stays usable and the client can
+            # ask again with a smaller ``page_size``.
+            response = error_response("frame_too_large", str(exc))
+            frame = encode_frame(response)
         status = (
             "ok" if response.get("ok") else response.get("error", {}).get("code", "?")
         )
@@ -579,7 +630,7 @@ class QueryService:
             status=status,
             elapsed_ms=round(elapsed * 1e3, 3),
         )
-        return response
+        return frame
 
     async def _dispatch(
         self, session: Session, op: str, request: dict[str, Any]
@@ -829,10 +880,9 @@ class QueryService:
         finished = time.perf_counter()
         elapsed_ms = (finished - started) * 1e3
 
-        wire_patterns = sorted(
-            (pattern_to_wire(p) for p in result.set),
-            key=lambda p: (p["vertices"], p["edges"]),
-        )
+        page_size = int(request.get("page_size") or self.config.page_size)
+        page_size = max(1, page_size)
+        encoded = self._encoded(result.set, page_size if use_cache else None)
         queue_wait_ms = (
             (admitted - received) * 1e3
             if received is not None and admitted is not None
@@ -840,7 +890,7 @@ class QueryService:
         )
         response: dict[str, Any] = {
             "ok": True,
-            "count": len(wire_patterns),
+            "count": len(encoded),
             "strategy": result.strategy,
             "elapsed_ms": round(elapsed_ms, 3),
             "queue_wait_ms": round(queue_wait_ms, 3),
@@ -848,20 +898,11 @@ class QueryService:
         if trace_id:
             response["trace_id"] = trace_id
 
-        page_size = int(request.get("page_size") or self.config.page_size)
-        page_size = max(1, page_size)
-        if len(wire_patterns) > page_size:
-            pages = [
-                wire_patterns[i : i + page_size]
-                for i in range(page_size, len(wire_patterns), page_size)
-            ]
-            cursor = uuid.uuid4().hex[:12]
-            session.cursors[cursor] = pages
-            response["patterns"] = wire_patterns[:page_size]
-            response["cursor"] = cursor
-        else:
-            response["patterns"] = wire_patterns
-            response["cursor"] = None
+        response["patterns"] = encoded.page(0, page_size)
+        response["cursor"] = None
+        if len(encoded) > page_size:
+            response["cursor"] = cursor = uuid.uuid4().hex[:12]
+            session.cursors[cursor] = (encoded, page_size, page_size)
 
         values_of = request.get("values_of") or ()
         if values_of:
@@ -1097,18 +1138,18 @@ class QueryService:
 
     def _op_fetch(self, session: Session, request: dict[str, Any]) -> dict[str, Any]:
         cursor = str(request.get("cursor", ""))
-        pages = session.cursors.get(cursor)
-        if pages is None:
+        entry = session.cursors.pop(cursor, None)
+        if entry is None:
             self._count("fetch", "error")
             return error_response("bad_request", f"unknown cursor {cursor!r}")
-        page = pages.pop(0)
-        if not pages:
-            del session.cursors[cursor]
-            cursor_out = None
-        else:
+        encoded, start, page_size = entry
+        stop = start + page_size
+        cursor_out = None
+        if stop < len(encoded):
+            session.cursors[cursor] = (encoded, stop, page_size)
             cursor_out = cursor
         self._count("fetch", "ok")
-        return {"ok": True, "patterns": page, "cursor": cursor_out}
+        return {"ok": True, "patterns": encoded.page(start, stop), "cursor": cursor_out}
 
     # -- views ---------------------------------------------------------
 
@@ -1157,7 +1198,7 @@ class QueryService:
             "view": name,
             "database": session.database_name,
             "version": view.version,
-            "patterns": _wire_patterns(view.patterns),
+            "patterns": self._encoded(view.patterns).page(),
             "count": len(view.patterns),
         }
 

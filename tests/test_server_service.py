@@ -110,6 +110,8 @@ class TestBasics:
             text = client.metrics()
         assert "repro_server_requests_total" in text
         assert "repro_server_request_seconds" in text
+        assert 'repro_wire_encode_total{outcome="miss"} 1' in text
+        assert "repro_wire_encoded_bytes" in text
         assert "repro_queries_total" in text  # engine registry is shared
 
 
@@ -141,6 +143,123 @@ class TestPaging:
             with pytest.raises(ServerError) as exc_info:
                 client.fetch("nope")
         assert exc_info.value.code == "bad_request"
+
+
+    def test_oversized_page_is_refused_not_dropped(self, server, monkeypatch):
+        """A response over the frame limit used to raise inside the
+        connection handler and silently drop the connection."""
+        from repro.server import protocol
+
+        q = "Person + Student + Teacher"
+        with ServerClient(server.host, server.port) as client:
+            whole = client.query(q)
+            monkeypatch.setattr(protocol, "MAX_FRAME_BYTES", 400)
+            with pytest.raises(ServerError) as exc_info:
+                client.query(q, page_size=10**9)
+            assert exc_info.value.code == "frame_too_large"
+            # The session survives; smaller pages fit under the limit.
+            assert client.query(q, page_size=2).patterns == whole.patterns
+
+
+class TestResultEncoding:
+    """One wire encoding per live, paged association-set (``docs/server.md``)."""
+
+    Q = "Person + Student + Teacher"
+
+    @staticmethod
+    def _encodes(server, outcome):
+        counter = server.service.metrics.get("repro_wire_encode_total")
+        return counter.value(outcome=outcome)
+
+    @staticmethod
+    def _retained(server):
+        return server.service.metrics.get("repro_wire_encoded_bytes").value()
+
+    def test_warm_queries_share_one_encoding(self, server):
+        with ServerClient(server.host, server.port) as client:
+            first = client.query(self.Q, page_size=2)
+            assert (self._encodes(server, "miss"), self._encodes(server, "hit")) == (1, 0)
+            second = client.query(self.Q, page_size=2)
+            unpaged = client.query(self.Q)  # any page size is served from it
+        assert (self._encodes(server, "miss"), self._encodes(server, "hit")) == (1, 2)
+        assert unpaged.patterns == second.patterns == first.patterns
+        cached = server.service.database("university").query(self.Q).set
+        assert self._retained(server) == cached.wire_form.nbytes > 0
+
+    def test_single_page_answers_are_not_retained(self, server):
+        with ServerClient(server.host, server.port) as client:
+            assert client.query(self.Q).patterns == client.query(self.Q).patterns
+        assert (self._encodes(server, "miss"), self._encodes(server, "hit")) == (2, 0)
+        assert self._retained(server) == 0
+
+    def test_invalidation_releases_the_old_encoding(self, server):
+        import gc
+        import weakref
+
+        # compact=False: the set is held by its plan-cache entry alone (a
+        # compact result is also memoized by the arena until its reset).
+        db = server.service.database("university")
+        with ServerClient(server.host, server.port) as client:
+            before = client.query("TA * Grad", compact=False, page_size=1)
+            old = weakref.ref(db.query("TA * Grad", compact=False).set.wire_form)
+            assert old() is not None and self._retained(server) == old().nbytes
+            ta, grad = (
+                next(v for v in before.patterns[0]["vertices"] if v[0] == cls)
+                for cls in ("TA", "Grad")
+            )
+            client.mutate([{"action": "unlink", "a": ta, "b": grad}])
+            gc.collect()
+            assert old() is None and self._retained(server) == 0
+            after = client.query("TA * Grad", compact=False, page_size=1)
+        assert after.count == before.count - 1
+        assert after.patterns == before.patterns[1:]
+        # the fresh answer fits one page: nothing is retained for it
+        assert db.query("TA * Grad", compact=False).set.wire_form is None
+        assert self._retained(server) == 0
+
+    def test_bypassed_queries_retain_nothing(self, server):
+        with ServerClient(server.host, server.port) as client:
+            for _ in range(3):
+                result = client.query(self.Q, use_cache=False, page_size=2)
+                assert len(result.patterns) == result.count
+        assert self._encodes(server, "hit") == 0
+        assert self._encodes(server, "miss") == 3
+        assert self._retained(server) == 0
+
+    def test_sessions_page_one_result_with_different_page_sizes(self, server):
+        with ServerClient(server.host, server.port) as a:
+            with ServerClient(server.host, server.port) as b:
+                whole = a.query(self.Q)
+                pages = {
+                    a: a.query(self.Q, page_size=2, fetch_all=False),
+                    b: b.query(self.Q, page_size=3, fetch_all=False),
+                }
+                got = {client: list(r.patterns) for client, r in pages.items()}
+                cursors = {client: r.cursor for client, r in pages.items()}
+                while any(cursors.values()):  # interleave the two cursors
+                    for client, cursor in cursors.items():
+                        if cursor is not None:
+                            page = client.fetch(cursor)
+                            got[client].extend(page["patterns"])
+                            cursors[client] = page["cursor"]
+        assert got[a] == got[b] == whole.patterns
+        # the unpaged answer was encoded and dropped; both cursors share one
+        assert (self._encodes(server, "miss"), self._encodes(server, "hit")) == (2, 1)
+
+    def test_values_explain_and_trace_ride_along_unchanged(self, server):
+        from repro.server.protocol import pattern_to_wire
+
+        q = "pi(TA * Grad * Student * Person * SS#)[SS#]"
+        local = Database.from_dataset(university()).query(q)
+        with ServerClient(server.host, server.port) as client:
+            result = client.query(q, values_of=["SS#"], explain=True, trace=True)
+        assert result.patterns == sorted(
+            (pattern_to_wire(p) for p in local.set),
+            key=lambda p: (p["vertices"], p["edges"]),
+        )
+        assert result.values == {"SS#": sorted(local.values("SS#"), key=repr)}
+        assert result.explain.startswith("EXPLAIN ANALYZE")
+        assert result.trace[0]["name"] == "server.request"
 
 
 class TestConcurrentSessions:

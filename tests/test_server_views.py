@@ -119,6 +119,20 @@ class TestSubscriptionDeltas:
             assert not client._notifications
             assert client.next_notification(timeout=0.2) is None
 
+    def test_polling_an_idle_feed_returns_none(self, server):
+        """``timeout=0`` polls: a non-blocking socket reports EAGAIN, not
+        ``socket.timeout``, and that used to surface as a ServerError."""
+        with ServerClient(server.host, server.port) as client:
+            client.create_view("v", "TA * Grad")
+            snapshot = client.subscribe("v")
+            assert client.next_notification(timeout=0) is None
+            ta, grad = _join_endpoints(snapshot)
+            with ServerClient(server.host, server.port) as writer:
+                writer.mutate([{"action": "unlink", "a": ta, "b": grad}])
+            assert client.next_notification(timeout=5)["notify"] == "view.delta"
+            assert client.next_notification(timeout=0) is None
+            assert client.ping()["pong"] is True  # the stream is still in step
+
     def test_reopen_clears_subscriptions(self, server):
         with ServerClient(server.host, server.port) as client:
             client.create_view("v", "TA * Grad")

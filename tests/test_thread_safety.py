@@ -111,6 +111,44 @@ class TestConcurrentQueries:
             assert got == expected
 
 
+class TestConcurrentWireEncoding:
+    """Server workers encoding one cached set at the same time.
+
+    The service memoizes a paged set's wire encoding on the set without a
+    lock: racing workers may each encode it, every one must return the
+    same bytes, and the losers' encodings must be released (the retained-
+    bytes gauge ends at exactly one encoding).
+    """
+
+    def test_threads_encoding_one_set_agree(self, db):
+        import gc
+        import sys
+
+        from repro.server import QueryService
+        from repro.server.protocol import encode_patterns
+
+        aset = db.query("Person + Student + Teacher").set
+        expected = encode_patterns(aset).page()
+        service = QueryService()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            pages = _run_threads(
+                lambda i: [service._encoded(aset, 1).page() for _ in range(ROUNDS)]
+            )
+        finally:
+            sys.setswitchinterval(interval)
+            service._pool.shutdown()
+        assert all(page == expected for per_thread in pages for page in per_thread)
+        outcomes = service.metrics.get("repro_wire_encode_total")
+        assert outcomes.value(outcome="miss") >= 1
+        assert outcomes.total() == THREADS * ROUNDS
+        del pages
+        gc.collect()
+        retained = service.metrics.get("repro_wire_encoded_bytes")
+        assert retained.value() == aset.wire_form.nbytes
+
+
 class TestConcurrentMetricsRegistry:
     """Hammer one MetricsRegistry from N threads while exporting it.
 
