@@ -380,13 +380,17 @@ def test_compiled_select_sigma_chain(benchmark, sigma_chain):
     assert result == expr.evaluate(sigma_chain.graph)
 
 
+def _run_object_select(executor, expr):
+    """One uncached run with σ forced onto the per-pattern object path."""
+    plan = executor.plan(expr, compiled_select=False)
+    return executor.run(expr, use_cache=False, plan=plan)
+
+
 def test_object_select_sigma_chain(benchmark, sigma_chain):
     expr = sigma_query(sigma_chain.rare_value)
     executor = Executor(sigma_chain.graph)
-    executor.run(expr, use_cache=False, compiled_select=False)
-    result = benchmark(
-        lambda: executor.run(expr, use_cache=False, compiled_select=False)
-    )
+    _run_object_select(executor, expr)
+    result = benchmark(lambda: _run_object_select(executor, expr))
     assert result == expr.evaluate(sigma_chain.graph)
 
 
@@ -398,11 +402,9 @@ def test_compiled_select_speedup_on_sigma_heavy_chain(sigma_chain):
     executor = Executor(sigma_chain.graph)
     # warm the arena / columns and verify both paths match the reference
     assert executor.run(expr, use_cache=False) == reference
-    assert executor.run(expr, use_cache=False, compiled_select=False) == reference
+    assert _run_object_select(executor, expr) == reference
     compiled_s = _median_seconds(lambda: executor.run(expr, use_cache=False))
-    object_s = _median_seconds(
-        lambda: executor.run(expr, use_cache=False, compiled_select=False)
-    )
+    object_s = _median_seconds(lambda: _run_object_select(executor, expr))
     speedup = object_s / compiled_s
     assert speedup >= 2.0, f"compiled-select speedup only {speedup:.1f}x"
 
@@ -416,13 +418,9 @@ def test_compiled_select_never_slower(sigma_chain):
         expr = Select(ref(cls), predicate)
         reference = expr.evaluate(sigma_chain.graph)
         assert executor.run(expr, use_cache=False) == reference
-        assert (
-            executor.run(expr, use_cache=False, compiled_select=False) == reference
-        )
+        assert _run_object_select(executor, expr) == reference
         compiled_s = _median_seconds(lambda: executor.run(expr, use_cache=False))
-        object_s = _median_seconds(
-            lambda: executor.run(expr, use_cache=False, compiled_select=False)
-        )
+        object_s = _median_seconds(lambda: _run_object_select(executor, expr))
         assert compiled_s <= object_s * 1.25, (
             f"compiled σ slower than object path on {cls}: "
             f"{compiled_s * 1e3:.3f}ms vs {object_s * 1e3:.3f}ms"

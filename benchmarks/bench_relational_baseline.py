@@ -77,14 +77,14 @@ def test_relational_side(benchmark, scaled_rdb, scaled_db, name):
     relation = benchmark(fn, scaled_rdb)
     # Agreement with the algebra engine.
     query, cls = ALGEBRA_QUERIES[name]
-    algebra = scaled_db.values(scaled_db.evaluate(query), cls)
+    algebra = scaled_db.query(query).values(cls)
     assert relation.column(attr) == algebra
 
 
 def test_relational_side_q5(benchmark, scaled_rdb, scaled_db):
     relation = benchmark(relational_query5, scaled_rdb)
     query, cls = ALGEBRA_QUERIES["q5"]
-    algebra = scaled_db.values(scaled_db.evaluate(query), cls)
+    algebra = scaled_db.query(query).values(cls)
     assert relation.column(value_attr("Name")) == algebra
 
 

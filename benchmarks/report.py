@@ -447,18 +447,15 @@ def operator_sections(quick: bool) -> dict:
     sigma_expr = sigma_query(sigma_ds.rare_value)
     sigma_exec = Executor(sigma_ds.graph)
     # warm the arena / columns and check the two σ paths agree
-    assert sigma_exec.run(sigma_expr, use_cache=False) == sigma_exec.run(
-        sigma_expr, use_cache=False, compiled_select=False
-    )
+    def run_object_select():
+        plan = sigma_exec.plan(sigma_expr, compiled_select=False)
+        return sigma_exec.run(sigma_expr, use_cache=False, plan=plan)
+
+    assert sigma_exec.run(sigma_expr, use_cache=False) == run_object_select()
     compiled_stats = sampled(
         lambda: sigma_exec.run(sigma_expr, use_cache=False), repeat
     )
-    object_stats = sampled(
-        lambda: sigma_exec.run(
-            sigma_expr, use_cache=False, compiled_select=False
-        ),
-        repeat,
-    )
+    object_stats = sampled(run_object_select, repeat)
     return {
         "fig8_micro": fig8_micro,
         "chain_macro": {

@@ -22,7 +22,7 @@ def explode(db, part_name, levels):
     for _ in range(levels):
         expr = Associate(expr, ref("Usage"), AssocSpec("Part", "Usage", "parent"))
         expr = Associate(expr, ref("Part"), AssocSpec("Usage", "Part", "child"))
-    return db.evaluate(expr)
+    return db.query(expr).set
 
 
 def main() -> None:
@@ -30,15 +30,15 @@ def main() -> None:
     db = Database.from_dataset(dataset)
 
     print("=== the bill of materials ===")
-    bom = db.evaluate(
+    bom = db.query(
         "pi(PartName * Part *[parent(Part, Usage)] Usage * Quantity)"
         "[PartName, Quantity; PartName:Quantity]"
-    )
+    ).set
     print(render_set(bom, "(parent name, quantity) lines:"))
 
     print("\n=== ambiguity is rejected, as §3.1 requires ===")
     try:
-        db.evaluate("Part * Usage")
+        db.query("Part * Usage")
     except Exception as exc:
         print(f"Part * Usage →  {exc}")
 
@@ -50,12 +50,7 @@ def main() -> None:
     from repro.core.expression import Literal
 
     named_expr = ref("PartName") * Literal(exploded, "exploded", head="Part")
-    result = db.evaluate(named_expr)
-    names = {
-        db.graph.value(v)
-        for p in result
-        for v in p.instances_of("PartName")
-    }
+    names = db.query(named_expr).values("PartName")
     print("components:", sorted(names - {"gearbox"}))
 
     print("\n=== parts used nowhere (NonAssociate over the child role) ===")
@@ -65,15 +60,15 @@ def main() -> None:
     named = (ref("PartName") * unused).project(["PartName"])
     print(
         "never a child:",
-        sorted(db.values(db.evaluate(named), "PartName")),
+        sorted(db.query(named).values("PartName")),
         " (the root assembly and the spare)",
     )
 
     print("\n=== where is the shaft used, and how many each time? ===")
-    rows = db.evaluate(
+    rows = db.query(
         "pi(Quantity * Usage *[child(Usage, Part)] Part *"
         " PartName)[Quantity, PartName; Quantity:PartName]"
-    )
+    ).set
     shaft = [
         p
         for p in rows

@@ -50,10 +50,10 @@ def main() -> None:
     print(expr)
 
     print("\n=== evaluated ===")
-    result = db.evaluate(expr)
-    print(render_set(result))
-    print("specialties:", sorted(db.values(result, "Specialty")))
-    print("GPAs:       ", sorted(db.values(result, "GPA")))
+    result = db.query(expr)
+    print(render_set(result.set))
+    print("specialties:", sorted(result.values("Specialty")))
+    print("GPAs:       ", sorted(result.values("GPA")))
 
     print("\n=== cross-checked against the direct subgraph matcher ===")
     matched = match(template, db.graph)

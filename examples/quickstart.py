@@ -52,7 +52,7 @@ def main() -> None:
     print("=== 1. Associate chain (expression DSL) ===")
     # Engineers with their projects' deadlines: EName—Engineer—Project—Deadline.
     expr = ref("EName") * ref("Engineer") * ref("Project") * ref("Deadline")
-    result = db.evaluate(expr)
+    result = db.query(expr).set
     print(render_set(result, f"{expr}  →"))
 
     print("\n=== 2. A-Select + A-Project ===")
@@ -65,23 +65,23 @@ def main() -> None:
         ref("EName")
         * q1_projects.operand  # reuse the unprojected chain
     ).project(["EName"])
-    print("engineers on Q1 projects:", sorted(db.values(db.evaluate(names), "EName")))
+    print("engineers on Q1 projects:", sorted(db.query(names).values("EName")))
 
     print("\n=== 3. NonAssociate: who works on nothing? ===")
     idle = (ref("EName") * (ref("Engineer") ^ ref("Project"))).project(["EName"])
-    print("idle engineers:", sorted(db.values(db.evaluate(idle), "EName")))
+    print("idle engineers:", sorted(db.query(idle).values("EName")))
 
     print("\n=== 4. The same in OQL text ===")
     oql = "pi(EName * (Engineer ! Project))[EName]"
-    result = db.evaluate(oql)
-    print(f"{oql}\n  →", sorted(db.values(result, "EName")))
+    result = db.query(oql)
+    print(f"{oql}\n  →", sorted(result.values("EName")))
 
     print("\n=== 5. Closure: feed a result back into the algebra ===")
     from repro.core.expression import Literal
 
-    busy = db.evaluate(ref("Engineer") * ref("Project"))
+    busy = db.query(ref("Engineer") * ref("Project")).set
     named = Literal(busy, "busy-pairs", head="Engineer") * ref("EName")
-    result = db.evaluate(named)
+    result = db.query(named).set
     print("busy engineer/project pairs with names:")
     print(render_set(result))
 

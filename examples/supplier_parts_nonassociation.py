@@ -21,24 +21,24 @@ def main() -> None:
     db = Database.from_dataset(dataset)
 
     def names(result, cls):
-        return sorted(db.values(result, cls))
+        return sorted(result.values(cls))
 
     print("=== the world ===")
-    pairs = db.evaluate(ref("SName") * ref("Supplier") * ref("Part") * ref("PName"))
+    pairs = db.query(ref("SName") * ref("Supplier") * ref("Part") * ref("PName")).set
     print(render_set(pairs, "supply relationships:"))
 
     print("\n=== 'dot' navigation (what GEM/POSTQUEL can do): Associate ===")
-    supplies = db.evaluate(ref("Supplier") * ref("Part"))
+    supplies = db.query(ref("Supplier") * ref("Part")).set
     print(render_set(supplies))
 
     print("\n=== what they cannot say #1: A-Complement ===")
     print("every (supplier, part) pair NOT in the supply relation:")
-    non_pairs = db.evaluate(ref("Supplier") | ref("Part"))
+    non_pairs = db.query(ref("Supplier") | ref("Part")).set
     print(render_set(non_pairs))
 
     print("\n=== what they cannot say #2: NonAssociate ===")
     print("suppliers and parts with NO supply relationship to the other side:")
-    mutual = db.evaluate(ref("Supplier") ^ ref("Part"))
+    mutual = db.query(ref("Supplier") ^ ref("Part")).set
     print(render_set(mutual))
     print(
         "(p3, the flywheel, has no supplier at all — every supplier supplies\n"
@@ -47,13 +47,13 @@ def main() -> None:
 
     print("\n=== named version, in OQL ===")
     oql = "pi(PName * (Part ! Supplier))[PName]"
-    result = db.evaluate(oql)
+    result = db.query(oql)
     print(f"{oql}\n  parts nobody supplies: {names(result, 'PName')}")
 
     oql = "pi(SName * (Supplier | Part) * PName)[SName, PName; SName:PName]"
-    result = db.evaluate(oql)
+    result = db.query(oql)
     print(f"\n{oql}")
-    print(render_set(result, "  (supplier-name, part-name) NON-supply pairs:"))
+    print(render_set(result.set, "  (supplier-name, part-name) NON-supply pairs:"))
 
 
 if __name__ == "__main__":

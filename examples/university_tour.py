@@ -60,19 +60,19 @@ def main() -> None:
     for title, (oql, cls) in QUERIES.items():
         print(f"\n=== {title} ===")
         print("OQL:", " ".join(oql.split()))
-        result = db.evaluate(oql)
+        result = db.query(oql)
         print("patterns:")
-        print(render_set(result))
-        print("values:", sorted(db.values(result, cls), key=str))
+        print(render_set(result.set))
+        print("values:", sorted(result.values(cls), key=str))
 
     print("\n=== Query 2 — the heterogeneous OR query (Figure 3) ===")
     print("OQL:", " ".join(QUERY_2.split()))
     trace = EvalTrace()
-    result = db.compile(QUERY_2).evaluate(db.graph, trace)
+    result = db.query(QUERY_2, trace=trace)
     print("patterns (two shapes in ONE result — closure + heterogeneity):")
-    print(render_set(result))
-    print("specialties:", sorted(db.values(result, "Specialty")))
-    print("GPAs:", sorted(db.values(result, "GPA")))
+    print(render_set(result.set))
+    print("specialties:", sorted(result.values("Specialty")))
+    print("GPAs:", sorted(result.values("GPA")))
     print("\nevaluation trace (cardinality per operator):")
     print(trace.pretty())
 

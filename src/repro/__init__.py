@@ -15,8 +15,8 @@ Public API tour
   facade tying everything together (query entry point:
   :meth:`~repro.engine.database.Database.query`);
 * :mod:`repro.exec` — the physical execution engine behind it: adjacency
-  and value indexes, a memoizing sub-plan cache and a parallel branch
-  scheduler;
+  and value indexes, a memoizing sub-plan cache, an integer-interning
+  pattern arena with batch kernels and typed attribute columns;
 * :mod:`repro.oql` — the textual OQL front-end compiled to the algebra;
 * :mod:`repro.optimizer` — law-based rewriting and a cardinality cost
   model (§4, Figure 10);

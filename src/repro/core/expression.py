@@ -49,7 +49,7 @@ from repro.core.operators.project import ChainTemplate, PathLink
 from repro.core.predicates import Predicate
 from repro.errors import EvaluationError
 from repro.objects.graph import ObjectGraph
-from repro.obs.span import OperatorKind, Span, Tracer
+from repro.obs.span import OperatorKind, Tracer
 from repro.schema.graph import Association
 
 __all__ = [
@@ -109,18 +109,6 @@ class EvalTrace(Tracer):
             (span.name, span.output_cardinality or 0, span.seconds)
             for span in self.completed
         ]
-
-    def record(self, node: "Expr", result: AssociationSet, seconds: float) -> None:
-        """Append one pre-timed step (legacy API; prefer begin/finish)."""
-        span = Span(
-            str(node),
-            getattr(node, "kind", OperatorKind.OTHER),
-            start=0.0,
-            end=seconds,
-            output_cardinality=len(result),
-        )
-        self.roots.append(span)
-        self.completed.append(span)
 
     @property
     def total_patterns(self) -> int:

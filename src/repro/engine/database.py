@@ -11,9 +11,6 @@ rule engine and the physical executor), and one query entry point:
   paper's queries end with (instances of a class, primitive values of a
   class) and, on request, an EXPLAIN ANALYZE report.
 
-The older entry points — :meth:`evaluate`, :meth:`select_instances`,
-:meth:`values` — remain as thin delegates with ``DeprecationWarning``\\ s.
-
 The DML methods (:meth:`insert`, :meth:`link`, ...) delegate to the object
 graph and emit :class:`MutationEvent`\\ s so rules can react — the paper's
 OSAM* context pairs the algebra with a rule-specification language.  The
@@ -40,13 +37,12 @@ from __future__ import annotations
 
 import threading
 import time
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 from repro.core.assoc_set import AssociationSet
-from repro.core.expression import EvalTrace, Expr
+from repro.core.expression import Expr
 from repro.core.identity import IID
 from repro.core.predicates import FunctionRegistry
 from repro.errors import EvaluationError, StorageError
@@ -207,8 +203,7 @@ class Database:
         # planner; dormant (uniform assumptions apply) until analyze().
         self.stats = StatisticsCatalog(self.graph, self.metrics)
         #: Q-error above which an adaptive plan choice is dropped and the
-        #: next execution re-plans (override per query via
-        #: ``query(..., replan_threshold=...)``).
+        #: next execution re-plans.
         self.replan_threshold = 10.0
         self._m_replans = self.metrics.counter(
             "repro_replan_total",
@@ -642,27 +637,20 @@ class Database:
         *,
         trace: Tracer | None = None,
         explain: bool = False,
-        parallel: bool = False,
         use_cache: bool = True,
         compact: bool | None = None,
-        compiled_select: bool | None = None,
         optimize: bool = False,
-        replan_threshold: float | None = None,
         shards: int | None = None,
         shard_strategy: str | None = None,
     ) -> QueryResult:
         """Evaluate a query through the physical execution engine.
 
         ``q`` is an algebra :class:`Expr` or OQL text (compiled on the
-        fly).  ``trace`` accepts any :class:`~repro.obs.span.Tracer` (the
-        legacy :class:`EvalTrace` included) to record the evaluation's
-        span tree.  ``parallel`` lets the scheduler evaluate independent
-        plan branches on a thread pool; ``use_cache=False`` bypasses the
-        sub-plan cache (reads *and* writes); ``compact`` overrides the
+        fly).  ``trace`` accepts any :class:`~repro.obs.span.Tracer` to
+        record the evaluation's span tree.  ``use_cache=False`` bypasses
+        the sub-plan cache (reads *and* writes); ``compact`` overrides the
         planner's compact-kernel setting for this call (``False`` forces
-        the reference strategies); ``compiled_select`` overrides the
-        column-mask σ lowering the same way (``False`` forces the
-        per-pattern object path).  With ``explain=True`` the evaluation
+        the reference strategies).  With ``explain=True`` the evaluation
         runs under EXPLAIN ANALYZE — the report lands on
         ``QueryResult.report``, the cache is bypassed so every plan node
         truly executes, and ``trace`` is ignored (the report owns the
@@ -673,7 +661,7 @@ class Database:
         and execution feedback) picks the cheapest equivalent, the choice
         is remembered per canonical query and stamped with the stats
         version, and after execution the root q-error is checked against
-        ``replan_threshold`` (default :attr:`replan_threshold`) — a miss
+        :attr:`replan_threshold` — a miss
         drops the remembered choice so the *next* execution re-plans with
         the feedback this one recorded (``repro_replan_total``).
 
@@ -714,21 +702,13 @@ class Database:
                     dist_plan, trace=trace, use_cache=use_cache
                 )
             else:
-                plan = self.executor.plan(
-                    plan_expr, compact=compact, compiled_select=compiled_select
-                )
+                plan = self.executor.plan(plan_expr, compact=compact)
                 strategy = plan.strategy
                 result = self.executor.run(
-                    plan_expr,
-                    trace=trace,
-                    parallel=parallel,
-                    use_cache=use_cache,
-                    plan=plan,
+                    plan_expr, trace=trace, use_cache=use_cache, plan=plan
                 )
             if plan_entry is not None:
-                self._adaptive_feedback(
-                    plan_key, plan_entry, len(result), replan_threshold
-                )
+                self._adaptive_feedback(plan_key, plan_entry, len(result))
         self._m_queries.inc()
         self._m_query_seconds.observe(
             time.perf_counter() - started, strategy=strategy
@@ -779,19 +759,9 @@ class Database:
             self.executor.cache.put_plan(key, entry)
         return key, entry
 
-    def _adaptive_feedback(
-        self,
-        key: Expr,
-        entry: Any,
-        actual: int,
-        replan_threshold: float | None,
-    ) -> None:
+    def _adaptive_feedback(self, key: Expr, entry: Any, actual: int) -> None:
         """Check a finished adaptive query's estimate against reality."""
-        threshold = (
-            replan_threshold
-            if replan_threshold is not None
-            else self.replan_threshold
-        )
+        threshold = self.replan_threshold
         est = max(float(entry.estimate.cardinality), 1.0)
         act = max(float(actual), 1.0)
         q_error = max(est, act) / min(est, act)
@@ -809,17 +779,6 @@ class Database:
                 q_error=round(q_error, 3),
                 threshold=threshold,
             )
-
-    def evaluate(
-        self, query: "Expr | str", trace: Tracer | None = None
-    ) -> AssociationSet:
-        """Deprecated: use :meth:`query` (returns a :class:`QueryResult`)."""
-        warnings.warn(
-            "Database.evaluate() is deprecated; use Database.query(q).set",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.query(query, trace=trace).set
 
     def explain_analyze(self, query: "Expr | str") -> "Any":
         """EXPLAIN ANALYZE: evaluate with tracing and annotate the plan.
@@ -845,19 +804,6 @@ class Database:
         if not isinstance(expr, Expr):
             raise EvaluationError(f"cannot {verb} {query!r}")
         return expr
-
-    def values(self, result: AssociationSet, cls: str) -> set[Any]:
-        """Deprecated: use :meth:`QueryResult.values` on a query result."""
-        warnings.warn(
-            "Database.values() is deprecated; use Database.query(q).values(cls)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        out: set[Any] = set()
-        for pattern in result:
-            for instance in pattern.instances_of(cls):
-                out.add(self.graph.value(instance))
-        return out
 
     def extent(self, cls: str) -> AssociationSet:
         """The extent of a class as an association-set of Inner-patterns."""
@@ -1012,16 +958,6 @@ class Database:
     # ------------------------------------------------------------------
     # query-driven bulk operations (§2's "system-defined operations")
     # ------------------------------------------------------------------
-
-    def select_instances(self, query: "Expr | str", cls: str) -> frozenset[IID]:
-        """Deprecated: use :meth:`QueryResult.instances` on a query result."""
-        warnings.warn(
-            "Database.select_instances() is deprecated; use "
-            "Database.query(q).instances(cls)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.query(query).instances(cls)
 
     def delete_where(self, query: "Expr | str", cls: str) -> int:
         """Delete every ``cls`` instance selected by the pattern query.

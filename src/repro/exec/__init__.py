@@ -7,8 +7,7 @@ cache (:mod:`repro.exec.cache`), strategy-annotated operator trees
 (:mod:`repro.exec.physical`), an integer-interning pattern arena with
 batch kernels (:mod:`repro.exec.arena`, :mod:`repro.exec.kernels`), a
 typed column store with compiled predicate masks
-(:mod:`repro.exec.columns`) and a parallel branch scheduler
-(:mod:`repro.exec.scheduler`), all coordinated by one
+(:mod:`repro.exec.columns`), all coordinated by one
 :class:`~repro.exec.executor.Executor` per database.  See
 ``docs/execution.md``.
 """
@@ -19,10 +18,8 @@ from repro.exec.columns import ColumnStore, compile_select, compiled_select_prob
 from repro.exec.executor import Executor
 from repro.exec.indexes import IndexManager
 from repro.exec.physical import CompactNode, ExecContext, PhysicalNode, PhysicalPlanner
-from repro.exec.scheduler import BranchScheduler, parallel_branches
 
 __all__ = [
-    "BranchScheduler",
     "ColumnStore",
     "CompactNode",
     "CompactSet",
@@ -38,5 +35,4 @@ __all__ = [
     "compile_select",
     "compiled_select_probe",
     "expr_dependencies",
-    "parallel_branches",
 ]

@@ -128,10 +128,11 @@ class PatternArena:
         self._cls_vids_frozen: dict[int, frozenset[int]] = {}
         self._eids: dict[tuple[int, int, Polarity], int] = {}
         self._edges: list[Edge] = []
-        # Interning must be safe under the branch scheduler's thread pool:
-        # readers use plain dict lookups (atomic under the GIL); writers
-        # take the lock, re-check, and publish the dict entry only after
-        # the list append so a winning read always finds consistent state.
+        # Interning must be safe under the query service's worker threads,
+        # which share one database's arena: readers use plain dict lookups
+        # (atomic under the GIL); writers take the lock, re-check, and
+        # publish the dict entry only after the list append so a winning
+        # read always finds consistent state.
         self._lock = threading.RLock()
         # Decoded-pattern memo: ids are append-only, so a compact key
         # denotes the same Pattern for the arena's whole lifetime — repeat

@@ -638,10 +638,10 @@ def compiled_select_probe(expr: Expr) -> str | None:
 class ColumnStore:
     """Lazily materialized typed columns hanging off one arena.
 
-    Thread-safe under the executor's branch scheduler: one re-entrant
-    lock covers materialization, event patching and mask evaluation (the
-    lazily rebuilt per-column index structures are not safe to build
-    concurrently).
+    Thread-safe under the query service's worker threads, which share
+    one database's store: one re-entrant lock covers materialization,
+    event patching and mask evaluation (the lazily rebuilt per-column
+    index structures are not safe to build concurrently).
     """
 
     def __init__(self, arena, metrics=None) -> None:

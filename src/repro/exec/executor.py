@@ -1,4 +1,4 @@
-"""The physical execution engine: planning, caching, parallel dispatch.
+"""The physical execution engine: planning and caching.
 
 One :class:`Executor` serves one :class:`~repro.objects.graph.ObjectGraph`.
 It owns the derived state the physical layer runs on — an
@@ -27,7 +27,6 @@ from repro.exec.arena import PatternArena
 from repro.exec.cache import PlanCache
 from repro.exec.indexes import IndexManager
 from repro.exec.physical import ExecContext, PhysicalNode, PhysicalPlanner
-from repro.exec.scheduler import BranchScheduler, parallel_branches
 from repro.objects.graph import ObjectGraph
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.span import Tracer
@@ -42,7 +41,6 @@ class Executor:
         self,
         graph: ObjectGraph,
         metrics: MetricsRegistry | None = None,
-        max_workers: int = 4,
         compact: bool = True,
         stats=None,
         compiled_select: bool = True,
@@ -62,13 +60,8 @@ class Executor:
         # instead of objects once a class's column is materialized.
         if stats is not None and hasattr(stats, "attach_columns"):
             stats.attach_columns(self.arena.columns)
-        self.scheduler = BranchScheduler(max_workers)
         self._synced_version = graph.version
         if metrics is not None:
-            self._m_branches = metrics.counter(
-                "repro_parallel_branches_total",
-                "Plan branches dispatched to the parallel scheduler",
-            )
             self._m_resets = metrics.counter(
                 "repro_executor_resets_total",
                 "Full index/cache rebuilds forced by out-of-band mutations",
@@ -156,10 +149,7 @@ class Executor:
         expr: Expr,
         *,
         trace: Tracer | None = None,
-        parallel: bool = False,
         use_cache: bool = True,
-        compact: bool | None = None,
-        compiled_select: bool | None = None,
         plan: PhysicalNode | None = None,
     ) -> AssociationSet:
         """Evaluate ``expr`` through its physical plan.
@@ -167,13 +157,12 @@ class Executor:
         A caller that already holds the plan (from :meth:`plan`, e.g. to
         read its root strategy) passes it back via ``plan`` and skips
         replanning; the plan must come from this executor *after* its
-        last refresh.
+        last refresh.  Per-call planner overrides (``compact``,
+        ``compiled_select``) go through :meth:`plan` the same way.
         """
         if plan is None:
             self.refresh()
-            plan = self.planner.plan(
-                expr, compact=compact, compiled_select=compiled_select
-            )
+            plan = self.planner.plan(expr)
         ctx = ExecContext(
             self.graph,
             self.indexes,
@@ -182,12 +171,6 @@ class Executor:
             arena=self.arena,
             feedback=self.stats.feedback if self.stats is not None else None,
         )
-        if parallel:
-            branches = parallel_branches(plan)
-            if len(branches) >= 2:
-                if self.metrics is not None:
-                    self._m_branches.inc(len(branches))
-                return self.scheduler.run(plan, branches, ctx, trace)
         return plan.execute(ctx, trace)
 
     def __str__(self) -> str:

@@ -102,19 +102,13 @@ __all__ = ["CompactNode", "ExecContext", "PhysicalNode", "PhysicalPlanner"]
 
 
 class ExecContext:
-    """Everything a physical node needs at run time.
-
-    ``precomputed`` maps ``id(node)`` → ``(result, branch_tracer)`` for
-    subtrees the parallel scheduler already evaluated on worker threads;
-    reaching such a node adopts the branch's spans instead of re-running.
-    """
+    """Everything a physical node needs at run time."""
 
     __slots__ = (
         "graph",
         "indexes",
         "cache",
         "use_cache",
-        "precomputed",
         "arena",
         "feedback",
     )
@@ -125,7 +119,6 @@ class ExecContext:
         indexes: IndexManager,
         cache: PlanCache | None = None,
         use_cache: bool = True,
-        precomputed: dict[int, tuple[AssociationSet, Tracer | None]] | None = None,
         arena: PatternArena | None = None,
         feedback=None,
     ) -> None:
@@ -133,7 +126,6 @@ class ExecContext:
         self.indexes = indexes
         self.cache = cache
         self.use_cache = use_cache
-        self.precomputed = precomputed
         # Compact-kernel nodes need an arena; a context built without one
         # (tests driving plans by hand) lazily gets a private arena.
         self.arena = arena if arena is not None else PatternArena(graph)
@@ -167,13 +159,6 @@ class PhysicalNode:
 
     def execute(self, ctx: ExecContext, trace: Tracer | None = None) -> AssociationSet:
         """Evaluate this subtree, mirroring ``Expr.evaluate``'s tracing."""
-        if ctx.precomputed is not None:
-            entry = ctx.precomputed.get(id(self))
-            if entry is not None:
-                result, branch = entry
-                if trace is not None and branch is not None:
-                    _adopt_spans(trace, branch)
-                return result
         if trace is None:
             return self._cached(ctx, None, None)
         span = trace.begin(str(self.expr), self.expr.kind, strategy=self.strategy)
@@ -239,15 +224,6 @@ class PhysicalNode:
 
     def __str__(self) -> str:
         return f"{type(self).__name__}[{self.strategy}]({self.expr})"
-
-
-def _adopt_spans(trace: Tracer, branch: Tracer) -> None:
-    """Splice a branch tracer's finished forest into the open span."""
-    if trace._stack:
-        trace._stack[-1].children.extend(branch.roots)
-    else:
-        trace.roots.extend(branch.roots)
-    trace.completed.extend(branch.completed)
 
 
 # ----------------------------------------------------------------------
@@ -451,17 +427,6 @@ class CompactNode(PhysicalNode):
     # -- interior protocol: compact in, compact out ----------------------
 
     def execute_compact(self, ctx: ExecContext, trace: Tracer | None) -> CompactSet:
-        if ctx.precomputed is not None:
-            entry = ctx.precomputed.get(id(self))
-            if entry is not None:
-                result, branch = entry
-                if trace is not None and branch is not None:
-                    _adopt_spans(trace, branch)
-                # Branch workers run through execute() and hand back a
-                # decoded set; re-encoding is interning lookups only.
-                if isinstance(result, CompactSet):
-                    return result
-                return ctx.arena.encode_set(result)
         if trace is None:
             return self._compact_cached(ctx, None, None)
         span = trace.begin(str(self.expr), self.expr.kind, strategy=self.strategy)

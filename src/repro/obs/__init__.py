@@ -25,7 +25,7 @@ Quickstart::
 
     db = Database.from_dataset(university())
     tracer = Tracer()
-    db.evaluate(ref("TA") * ref("Grad"), trace=tracer)
+    db.query(ref("TA") * ref("Grad"), trace=tracer)
     print(spans_to_tree(tracer))
     print(db.explain_analyze("pi(TA * Grad)[TA]"))
 

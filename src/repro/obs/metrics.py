@@ -12,9 +12,8 @@ are all instrumented against a registry (see ``docs/observability.md``
 for the full metric inventory); :func:`repro.obs.export.metrics_to_prometheus`
 renders the exposition text.
 
-Metrics are thread-safe (a lock per metric) because parallel plan
-evaluation (:mod:`repro.optimizer.parallel`) touches the object graph's
-counters from worker threads.
+Metrics are thread-safe (a lock per metric) because the query service's
+worker threads run queries against one shared registry concurrently.
 """
 
 from __future__ import annotations

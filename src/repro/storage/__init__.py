@@ -25,8 +25,6 @@ __all__ = [
     "schema_from_dict",
     "graph_to_dict",
     "graph_from_dict",
-    "save_database",
-    "load_database",
     "write_snapshot",
     "read_snapshot",
     # engines
@@ -47,8 +45,6 @@ _HOMES = {
     "schema_from_dict": "serialization",
     "graph_to_dict": "serialization",
     "graph_from_dict": "serialization",
-    "save_database": "serialization",
-    "load_database": "serialization",
     "write_snapshot": "serialization",
     "read_snapshot": "serialization",
     "StorageEngine": "engine",

@@ -20,7 +20,6 @@ ints and floats, as the paper's primitive domains suggest).
 from __future__ import annotations
 
 import json
-import warnings
 from pathlib import Path
 from typing import Any
 
@@ -37,8 +36,6 @@ __all__ = [
     "graph_from_dict",
     "write_snapshot",
     "read_snapshot",
-    "save_database",
-    "load_database",
 ]
 
 FORMAT = "repro-aalgebra-v1"
@@ -158,26 +155,6 @@ def read_snapshot(path: "str | Path") -> tuple[SchemaGraph, ObjectGraph]:
     schema = schema_from_dict(document["schema"])
     graph = graph_from_dict(document["graph"], schema)
     return schema, graph
-
-
-def save_database(db: Database, path: "str | Path") -> None:
-    """Deprecated: use :meth:`Database.save` (lifecycle API)."""
-    warnings.warn(
-        "save_database() is deprecated; use Database.save(path)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    db.save(path)
-
-
-def load_database(path: "str | Path") -> Database:
-    """Deprecated: use :meth:`Database.open` (lifecycle API)."""
-    warnings.warn(
-        "load_database() is deprecated; use Database.open(path)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return Database.open(path)
 
 
 def _reject(value: Any) -> Any:

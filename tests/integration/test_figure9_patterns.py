@@ -27,7 +27,7 @@ def test_query3_pattern_is_a_network(db, uni):
         & (ref("Student") * ref("Department"))
         & (ref("Student") * ref("Grad") * ref("TA") * ref("Teacher") * ref("Department"))
     )
-    result = db.evaluate(expr)
+    result = db.query(expr)
     assert len(result) == 1  # Alice only
     (pattern,) = result
     assert pattern.is_connected()
@@ -54,7 +54,7 @@ def test_query4_patterns_are_chains(db):
     expr = ref("Section#") * (
         (ref("Section") ^ ref("Room#")) + (ref("Section") ^ ref("Teacher"))
     )
-    result = db.evaluate(expr)
+    result = db.query(expr)
     assert len(result) == 2
     shapes = {frozenset(p.classes()) for p in result}
     # Section 102 (no room, all rooms taken) is a retained bare section →
@@ -87,7 +87,7 @@ def test_query5_patterns_are_linear_six_chains(db):
             Comparison(ClassValues("Course#"), "=", Const(6020)),
         )
     )
-    result = db.evaluate(Divide(chain, divisor, ["Student"]))
+    result = db.query(Divide(chain, divisor, ["Student"]))
     assert len(result) == 2  # Carol's two enrollments
     for pattern in result:
         assert len(pattern) == 6
@@ -108,6 +108,6 @@ def test_figure9_shapes_render(db, uni):
         & (ref("Student") * ref("Department"))
         & (ref("Student") * ref("Grad") * ref("TA") * ref("Teacher") * ref("Department"))
     )
-    (network,) = db.evaluate(expr)
+    (network,) = db.query(expr)
     text = render_pattern(network)
     assert "•" in text and "," in text  # non-chain fallback listing edges

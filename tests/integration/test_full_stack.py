@@ -1,5 +1,5 @@
 """Full-stack integration: DDL → population → template → OQL text →
-optimizer → parallel evaluation → rules → persistence → tables.
+optimizer → independent A-Union branches → rules → persistence → tables.
 
 One scenario flowing through every subsystem, the way a downstream user
 would compose them.
@@ -7,12 +7,12 @@ would compose them.
 
 import pytest
 
+from repro.core.operators import a_union
 from repro.core.predicates import value_equals
 from repro.core.template import PatternTemplate, match
 from repro.engine.database import Database
 from repro.oql import to_oql
 from repro.optimizer import Optimizer
-from repro.optimizer.parallel import decompose_unions, evaluate_parallel
 from repro.rules import Rule, RuleEngine
 from repro.schema import parse_ddl
 from repro.viz import render_table
@@ -83,14 +83,15 @@ def test_template_through_everything(db, tmp_path):
 
     # 3. The optimizer may rewrite it; semantics preserved.
     best = Optimizer(db.graph, max_candidates=40).optimize(expr)
-    reference = db.evaluate(expr)
-    assert db.evaluate(best.expr) == reference
+    answer = db.query(expr)
+    reference = answer.set
+    assert db.query(best.expr).set == reference
 
     # 4. The matcher oracle agrees.
     assert match(template, db.graph) == reference
 
     # 5. Only Ada reads scifi.
-    assert db.values(reference, "RName") == {"Ada"}
+    assert answer.values("RName") == {"Ada"}
 
     # 6. Tabulate.
     table = render_table(reference, db.graph, ["RName", "Genre"])
@@ -100,7 +101,7 @@ def test_template_through_everything(db, tmp_path):
     path = tmp_path / "library.json"
     db.save(path)
     restored = Database.open(path)
-    assert restored.values(restored.evaluate(text), "RName") == {"Ada"}
+    assert restored.query(text).values("RName") == {"Ada"}
 
 
 def test_rules_and_parallel_over_the_same_db(db):
@@ -121,22 +122,18 @@ def test_rules_and_parallel_over_the_same_db(db):
     # Cy is idle from the start.
     assert engine.violations() == {"idle-readers": 1}
 
-    # A union query evaluated in parallel matches sequential evaluation.
+    # §4: an A-Union's branches evaluate independently — lumping the
+    # separately computed branch results together gives the whole.
     union = (ref("RName") * ref("Reader")) + (ref("Title") * ref("Book"))
-    assert len(decompose_unions(union)) == 2
-    assert evaluate_parallel(union, db.graph) == union.evaluate(db.graph)
+    branches = a_union(db.query(union.left).set, db.query(union.right).set)
+    assert branches == db.query(union).set == union.evaluate(db.graph)
 
     # Unlink a loan: Bo becomes idle too; the rule sees both.
     loans = db.schema.resolve("Reader", "Loan")
-    bo = next(
-        iter(
-            db.select_instances(
-                ref("RName").where(value_equals("RName", "Bo")) * ref("Reader"),
-                "Reader",
-            )
-        )
-    )
-    loan = next(iter(sorted(db.graph.partners(loans, bo))))
+    (bo,) = db.query(
+        ref("RName").where(value_equals("RName", "Bo")) * ref("Reader")
+    ).instances("Reader")
+    loan = min(db.graph.partners(loans, bo))
     db.unlink(bo, loan)
     assert log and log[-1] >= 1
 

@@ -33,30 +33,30 @@ def db(uni):
 
 
 def test_query_1(db):
-    result = db.evaluate(QUERY_1)
-    assert db.values(result, "SS#") == {333, 444}
+    result = db.query(QUERY_1)
+    assert result.values("SS#") == {333, 444}
 
 
 def test_query_2(db):
-    result = db.evaluate(QUERY_2)
-    assert db.values(result, "Specialty") == {"Databases", "AI"}
-    assert db.values(result, "GPA") == {3.5, 3.2, 3.8}
-    assert db.values(result, "EarnedCredit") == {60, 90, 45}
+    result = db.query(QUERY_2)
+    assert result.values("Specialty") == {"Databases", "AI"}
+    assert result.values("GPA") == {3.5, 3.2, 3.8}
+    assert result.values("EarnedCredit") == {60, 90, 45}
 
 
 def test_query_3(db):
-    result = db.evaluate(QUERY_3)
-    assert db.values(result, "Name") == {"Alice"}
+    result = db.query(QUERY_3)
+    assert result.values("Name") == {"Alice"}
 
 
 def test_query_4(db):
-    result = db.evaluate(QUERY_4)
-    assert db.values(result, "Section#") == {102, 201}
+    result = db.query(QUERY_4)
+    assert result.values("Section#") == {102, 201}
 
 
 def test_query_5(db):
-    result = db.evaluate(QUERY_5)
-    assert db.values(result, "Name") == {"Carol"}
+    result = db.query(QUERY_5)
+    assert result.values("Name") == {"Carol"}
 
 
 def test_oql_matches_dsl(db):
@@ -71,7 +71,7 @@ def test_oql_matches_dsl(db):
 
 
 def test_comments_allowed(db):
-    result = db.evaluate(
+    result = db.query(
         "pi(TA * Grad * Student * Person * SS#)[SS#] -- the paper's Query 1"
     )
-    assert db.values(result, "SS#") == {333, 444}
+    assert result.values("SS#") == {333, 444}

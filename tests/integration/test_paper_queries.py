@@ -22,14 +22,14 @@ def test_query_1_ta_ssns(db):
     expr = (
         ref("TA") * ref("Grad") * ref("Student") * ref("Person") * ref("SS#")
     ).project(["SS#"])
-    result = db.evaluate(expr)
-    assert db.values(result, "SS#") == {333, 444}
+    result = db.query(expr)
+    assert result.values("SS#") == {333, 444}
 
 
 def test_query_1_intermediate_chain(db):
     """The unprojected chain keeps one pattern per TA, five classes long."""
     expr = ref("TA") * ref("Grad") * ref("Student") * ref("Person") * ref("SS#")
-    result = db.evaluate(expr)
+    result = db.query(expr)
     assert len(result) == 2
     for pattern in result:
         assert pattern.classes() == {"TA", "Grad", "Student", "Person", "SS#"}
@@ -54,14 +54,14 @@ def test_query_2_specialties_and_student_records(db):
         ["Section", "Specialty", "GPA", "EarnedCredit"],
         ["Section:Specialty", "Section:GPA", "Section:EarnedCredit"],
     )
-    result = db.evaluate(expr)
+    result = db.query(expr)
 
-    assert db.values(result, "Specialty") == {"Databases", "AI"}
-    assert db.values(result, "GPA") == {3.5, 3.2, 3.8}
-    assert db.values(result, "EarnedCredit") == {60, 90, 45}
+    assert result.values("Specialty") == {"Databases", "AI"}
+    assert result.values("GPA") == {3.5, 3.2, 3.8}
+    assert result.values("EarnedCredit") == {60, 90, 45}
     # Sections touched: 101 and 301 carry specialties; 101, 102, 201 carry
     # student records; section 401 (an EE section) must NOT appear.
-    assert db.values(result, "Section#") == set()  # projected away
+    assert result.values("Section#") == set()  # projected away
     section_ids = {
         v.oid for p in result for v in p.vertices if v.cls == "Section"
     }
@@ -86,7 +86,7 @@ def test_query_2_shapes_are_heterogeneous(db):
         ["Section", "Specialty", "GPA", "EarnedCredit"],
         ["Section:Specialty", "Section:GPA", "Section:EarnedCredit"],
     )
-    result = db.evaluate(expr)
+    result = db.query(expr).set
     assert not is_homogeneous(result)
     shapes = {frozenset(p.classes()) for p in result}
     assert frozenset({"Section", "Specialty"}) in shapes
@@ -105,8 +105,8 @@ def test_query_3_students_teaching_in_major_department(db):
         & (ref("Student") * ref("Department"))
         & (ref("Student") * ref("Grad") * ref("TA") * ref("Teacher") * ref("Department"))
     ).project(["Name"])
-    result = db.evaluate(expr)
-    assert db.values(result, "Name") == {"Alice"}
+    result = db.query(expr)
+    assert result.values("Name") == {"Alice"}
 
 
 def test_query_4_sections_without_room_or_teacher(db):
@@ -118,14 +118,14 @@ def test_query_4_sections_without_room_or_teacher(db):
         ref("Section#")
         * ((ref("Section") ^ ref("Room#")) + (ref("Section") ^ ref("Teacher")))
     ).project(["Section#"])
-    result = db.evaluate(expr)
-    assert db.values(result, "Section#") == {102, 201}
+    result = db.query(expr)
+    assert result.values("Section#") == {102, 201}
 
 
 def test_query_4_branches_individually(db):
-    no_room = db.evaluate(ref("Section") ^ ref("Room#"))
+    no_room = db.query(ref("Section") ^ ref("Room#"))
     assert len(no_room) == 1
-    no_teacher = db.evaluate(ref("Section") ^ ref("Teacher"))
+    no_teacher = db.query(ref("Section") ^ ref("Teacher"))
     assert len(no_teacher) == 1
     assert no_room != no_teacher
 
@@ -147,8 +147,8 @@ def test_query_5_students_taking_6010_and_6020(db):
         )
     )
     expr = Divide(chain, divisor, ["Student"]).project(["Name"])
-    result = db.evaluate(expr)
-    assert db.values(result, "Name") == {"Carol"}
+    result = db.query(expr)
+    assert result.values("Name") == {"Carol"}
 
 
 def test_query_5_dave_excluded(db):
@@ -161,7 +161,7 @@ def test_query_5_dave_excluded(db):
         * ref("Course")
         * ref("Course#")
     )
-    unprojected = db.evaluate(chain)
+    unprojected = db.query(chain)
     dave_patterns = [
         p
         for p in unprojected
@@ -174,11 +174,11 @@ def test_closure_query_result_feeds_another_query(db):
     """Closure: a query result is an association-set usable as an operand."""
     from repro.core.expression import Literal
 
-    first = db.evaluate(ref("TA") * ref("Grad"))
+    first = db.query(ref("TA") * ref("Grad")).set
     second = (
         Literal(first, "ta-grads", head="TA", tail="Grad")
         * ref("Student")
         * ref("Person")
     ).project(["Person"])
-    result = db.evaluate(second)
+    result = db.query(second)
     assert len(result) == 2

@@ -21,14 +21,14 @@ def db(bom):
 def test_shorthand_is_ambiguous(db):
     """Part—Usage has two edges; the omission rule must refuse."""
     with pytest.raises(AmbiguousAssociationError):
-        db.evaluate(ref("Part") * ref("Usage"))
+        db.query(ref("Part") * ref("Usage"))
 
 
 def test_explicit_annotation_resolves(db):
-    parents = db.evaluate(
+    parents = db.query(
         Associate(ref("Part"), ref("Usage"), AssocSpec("Part", "Usage", "parent"))
     )
-    children = db.evaluate(
+    children = db.query(
         Associate(ref("Part"), ref("Usage"), AssocSpec("Part", "Usage", "child"))
     )
     assert len(parents) == 5 and len(children) == 5
@@ -36,7 +36,7 @@ def test_explicit_annotation_resolves(db):
 
 
 def test_oql_annotation(db):
-    result = db.evaluate(
+    result = db.query(
         "pi(PartName * Part *[parent(Part, Usage)] Usage * Quantity)"
         "[PartName, Quantity; PartName:Quantity]"
     )
@@ -71,7 +71,7 @@ def test_one_level_explosion(db):
     expr = Associate(
         expr, ref("PartName"), AssocSpec("Part", "PartName", None)
     ).project(["PartName"])
-    names = db.values(db.evaluate(expr), "PartName")
+    names = db.query(expr).values("PartName")
     assert names == {"gearbox", "housing", "shaft", "gear_train"}
 
 
@@ -84,7 +84,7 @@ def test_two_level_explosion_reaches_shared_component(db, bom):
     for _ in range(3):
         level = Associate(level, ref("Usage"), AssocSpec("Part", "Usage", "parent"))
         level = Associate(level, ref("Part"), AssocSpec("Usage", "Part", "child"))
-    result = db.evaluate(level)
+    result = db.query(level)
     # Associate joins through EVERY Part instance in the pattern, so the
     # result fans out; what matters is that some pattern walked
     # gearbox → gear_train → gear → shaft, i.e. contains the gear→shaft
@@ -101,13 +101,13 @@ def test_unused_part_via_nonassociate(db):
         ref("Part"), ref("Usage"), AssocSpec("Part", "Usage", "child")
     )
     named = (ref("PartName") * unused).project(["PartName"])
-    names = db.values(db.evaluate(named), "PartName")
+    names = db.query(named).values("PartName")
     # gearbox is also never a *child* (it is the root assembly).
     assert names == {"spare_bolt", "gearbox"}
 
 
 def test_projection_keeps_quantity_links(db):
-    result = db.evaluate(
+    result = db.query(
         "pi(Quantity * Usage *[child(Usage, Part)] Part * PartName)"
         "[Quantity, PartName; Quantity:PartName]"
     )

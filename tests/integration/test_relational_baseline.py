@@ -67,8 +67,8 @@ def test_agreement_on_scaled_population():
     adb = Database.from_dataset(scaled)
     rdb = map_object_graph(scaled.graph)
 
-    algebra_result = adb.evaluate("pi(TA * Grad * Student * Person * SS#)[SS#]")
-    algebra_values = adb.values(algebra_result, "SS#")
+    algebra_result = adb.query("pi(TA * Grad * Student * Person * SS#)[SS#]")
+    algebra_values = algebra_result.values("SS#")
     relational_values = rq.query1(rdb).column(value_attr("SS#"))
     assert algebra_values == relational_values
     assert algebra_values  # non-trivial population
@@ -80,11 +80,8 @@ def test_query4_agreement_on_scaled_population():
     scaled = university_scaled(n_students=60, n_courses=10, seed=5)
     adb = Database.from_dataset(scaled)
     rdb = map_object_graph(scaled.graph)
-    algebra = adb.values(
-        adb.evaluate(
-            "pi(Section# * (Section ! Room# + Section ! Teacher))[Section#]"
-        ),
-        "Section#",
-    )
+    algebra = adb.query(
+        "pi(Section# * (Section ! Room# + Section ! Teacher))[Section#]"
+    ).values("Section#")
     relational = rq.query4(rdb).column(value_attr("Section#"))
     assert algebra == relational

@@ -2,8 +2,8 @@
 
 Three batteries, all demanding bit-identical :class:`AssociationSet`
 results between the compiled column-mask σ path, the per-pattern object
-path (``compiled_select=False``), and the logical reference
-``Expr.evaluate``:
+path (``executor.plan(expr, compiled_select=False)``), and the logical
+reference ``Expr.evaluate``:
 
 1. randomized valued graphs × randomized predicate trees (comparisons in
    both orientations, IN-lists, and/or/not, mixed value types including
@@ -136,7 +136,9 @@ def _assert_three_way(executor: Executor, graph: ObjectGraph, predicate) -> None
     expr = Select(ref("P"), predicate)
     reference = expr.evaluate(graph)
     compiled = executor.run(expr, use_cache=False)
-    objected = executor.run(expr, use_cache=False, compiled_select=False)
+    objected = executor.run(
+        expr, use_cache=False, plan=executor.plan(expr, compiled_select=False)
+    )
     assert compiled == reference, f"compiled σ diverged on {predicate}"
     assert objected == reference, f"object σ diverged on {predicate}"
 
@@ -182,10 +184,10 @@ def test_columns_stay_correct_across_event_driven_mutations(data):
         for predicate in predicates:
             expr = Select(ref("P"), predicate)
             assert db.query(expr, use_cache=False).set == expr.evaluate(db.graph)
-            assert (
-                db.query(expr, use_cache=False, compiled_select=False).set
-                == expr.evaluate(db.graph)
-            )
+            forced = db.executor.plan(expr, compiled_select=False)
+            assert db.executor.run(
+                expr, use_cache=False, plan=forced
+            ) == expr.evaluate(db.graph)
 
     # Plain-equality predicates may plan through the value index and
     # never touch the columns — materialize explicitly so the event

@@ -5,7 +5,7 @@ truth; the executor in :mod:`repro.exec` is an accelerator.  These
 properties quantify over random object graphs and random expressions
 covering all nine operators (via the shared strategies) and demand
 bit-identical results from every execution mode — cold cache, warm
-cache, cache bypassed, and parallel branch dispatch.
+cache and cache bypassed.
 
 A second battery drives the same differential with the deterministic
 :mod:`repro.datagen` generators (the benchmark datasets), plus
@@ -39,7 +39,6 @@ def test_executor_matches_reference_all_modes(data):
     assert executor.run(expr) == reference, "cold cache diverged"
     assert executor.run(expr) == reference, "warm cache diverged"
     assert executor.run(expr, use_cache=False) == reference, "uncached diverged"
-    assert executor.run(expr, parallel=True) == reference, "parallel diverged"
 
 
 @given(st.data())
@@ -76,7 +75,6 @@ def test_executor_matches_reference_on_datagen_workloads():
         for expr in workload(ds.schema, n_queries=20, max_hops=4, seed=11):
             reference = expr.evaluate(ds.graph)
             assert executor.run(expr) == reference
-            assert executor.run(expr, parallel=True) == reference
 
 
 def test_executor_cache_survives_repeated_random_queries():

@@ -121,11 +121,18 @@ def test_mutation_forwarding_keeps_replicas_exact(seed, shards):
         db.link(created["K0"], partner["K1"])
         _assert_sharded_matches(db, shards)
 
-        victim = next(iter(db.graph.extent("K1")))
+        # Any K1 but the partner: deleting the partner here would cascade
+        # the edge the unlink below removes.
+        victim = min(db.graph.extent("K1") - {partner["K1"]})
         db.delete(victim)
         _assert_sharded_matches(db, shards)
 
         db.unlink(created["K0"], partner["K1"])
+        _assert_sharded_matches(db, shards)
+
+        # Deleting a still-linked instance cascades its edge on every replica.
+        db.link(created["K0"], partner["K1"])
+        db.delete(partner["K1"])
         _assert_sharded_matches(db, shards)
     finally:
         db.close()

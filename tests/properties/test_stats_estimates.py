@@ -107,6 +107,7 @@ def test_stats_refresh_invalidates_only_affected_plans(seed):
     dataset = skewed_dataset(extent_size=60, seed=seed)
     db = Database(dataset.schema, dataset.graph)
     db.analyze()
+    db.replan_threshold = 1e9
     # two structurally independent families: L—M—R and A—Hub—S1
     queries = {
         "L": Select(
@@ -123,7 +124,7 @@ def test_stats_refresh_invalidates_only_affected_plans(seed):
     from repro.exec.cache import canonicalize
 
     for expr in queries.values():
-        db.query(expr, optimize=True, replan_threshold=1e9)
+        db.query(expr, optimize=True)
     keys = {name: canonicalize(expr) for name, expr in queries.items()}
     cache = db.executor.cache
     entries_before = {name: cache.get_plan(key) for name, key in keys.items()}

@@ -26,13 +26,14 @@ def test_misestimated_query_replans_and_converges(dataset):
     """The acceptance loop: run 1 mis-plans, records reality, re-plans;
     run 2 picks the cheaper join order and returns the same patterns."""
     db = Database(dataset.schema, dataset.graph)  # not analyzed: uniform model
+    db.replan_threshold = 2.0
     expr = rare_chain(dataset)
 
-    first = db.query(expr, optimize=True, replan_threshold=2.0)
+    first = db.query(expr, optimize=True)
     assert db.metrics.counter("repro_replan_total").value() == 1
     assert len(db.stats.feedback) > 0  # actuals recorded for the re-plan
 
-    second = db.query(expr, optimize=True, replan_threshold=2.0)
+    second = db.query(expr, optimize=True)
     assert second.plan_expr != first.plan_expr
     # the re-plan starts from the selective filter instead of the wide pair
     assert str(second.plan_expr).startswith("((σ")
@@ -58,19 +59,21 @@ def test_within_threshold_plan_is_remembered(dataset):
 
 def test_replan_threshold_override(dataset):
     db = Database(dataset.schema, dataset.graph)
-    db.query(rare_chain(dataset), optimize=True, replan_threshold=1e9)
+    db.replan_threshold = 1e9
+    db.query(rare_chain(dataset), optimize=True)
     assert db.metrics.counter("repro_replan_total").value() == 0
 
 
 def test_stats_refresh_invalidates_remembered_plans(dataset):
     db = Database(dataset.schema, dataset.graph)
+    db.replan_threshold = 1e9
     expr = rare_chain(dataset)
-    first = db.query(expr, optimize=True, replan_threshold=1e9)
+    first = db.query(expr, optimize=True)
     # ANALYZE bumps the stats version; the remembered choice was ranked
     # with numbers now known to be wrong, so the next run re-plans and the
     # histogram flips it to the selective-first order immediately.
     db.analyze()
-    second = db.query(expr, optimize=True, replan_threshold=1e9)
+    second = db.query(expr, optimize=True)
     assert first.plan_expr != second.plan_expr
     assert second.set == first.set
 
@@ -82,7 +85,8 @@ def test_stats_counters_flow_through_shared_registry(dataset):
 
     db = Database(dataset.schema, dataset.graph)
     db.analyze()
-    db.query(rare_chain(dataset), optimize=True, replan_threshold=2.0)
+    db.replan_threshold = 2.0
+    db.query(rare_chain(dataset), optimize=True)
     frame = metrics_to_prometheus(db.metrics)
     assert "repro_stats_version 1" in frame
     assert "repro_stats_refresh_total" in frame

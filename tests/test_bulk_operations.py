@@ -47,14 +47,12 @@ class TestValueIndex:
 
 class TestSelectInstances:
     def test_select_instances(self, db):
-        tas = db.select_instances(ref("TA") * ref("Grad"), "TA")
+        tas = db.query(ref("TA") * ref("Grad")).instances("TA")
         assert len(tas) == 2
         assert all(i.cls == "TA" for i in tas)
 
     def test_select_from_oql(self, db):
-        sections = db.select_instances(
-            "Section ! Teacher", "Section"
-        )
+        sections = db.query("Section ! Teacher").instances("Section")
         assert len(sections) == 1
 
 
@@ -65,7 +63,7 @@ class TestBulkDML:
         assert deleted == 1
         assert len(db.extent("Section")) == 4
         # The pattern no longer matches anything.
-        assert db.select_instances("Section ! Teacher", "Section") == frozenset()
+        assert db.query("Section ! Teacher").instances("Section") == frozenset()
 
     def test_delete_where_emits_events(self, db):
         events = []

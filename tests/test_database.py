@@ -16,21 +16,21 @@ def db():
 
 class TestQueries:
     def test_evaluate_expr_and_text_agree(self, db):
-        text = db.evaluate("pi(TA * Grad)[TA]")
-        expr = db.evaluate((ref("TA") * ref("Grad")).project(["TA"]))
+        text = db.query("pi(TA * Grad)[TA]")
+        expr = db.query((ref("TA") * ref("Grad")).project(["TA"]))
         assert text == expr
 
     def test_evaluate_rejects_garbage(self, db):
         with pytest.raises(EvaluationError):
-            db.evaluate(42)  # type: ignore[arg-type]
+            db.query(42)  # type: ignore[arg-type]
 
     def test_values_collects_across_patterns(self, db):
-        result = db.evaluate("pi(Student * GPA)[GPA]")
-        assert db.values(result, "GPA") == {3.9, 3.4, 3.5, 3.2, 3.8, 2.9}
+        result = db.query("pi(Student * GPA)[GPA]")
+        assert result.values("GPA") == {3.9, 3.4, 3.5, 3.2, 3.8, 2.9}
 
     def test_values_of_absent_class(self, db):
-        result = db.evaluate("pi(Student * GPA)[GPA]")
-        assert db.values(result, "Name") == set()
+        result = db.query("pi(Student * GPA)[GPA]")
+        assert result.values("Name") == set()
 
     def test_extent(self, db):
         assert len(db.extent("TA")) == 2

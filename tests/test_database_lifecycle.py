@@ -175,7 +175,7 @@ class TestSavepoints:
 
     def test_rollback_to_snapshot_refreshes_views(self, db):
         view = db.create_view("v", "TA * Grad")
-        pattern = next(iter(view.patterns))
+        pattern = min(view.patterns, key=str)
         ta = next(i for i in pattern.vertices if i.cls == "TA")
         grad = next(i for i in pattern.vertices if i.cls == "Grad")
         snap = db.snapshot()

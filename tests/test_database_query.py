@@ -1,4 +1,4 @@
-"""The Database.query facade and QueryResult, plus the deprecated shims."""
+"""The Database.query facade and QueryResult."""
 
 import warnings
 
@@ -51,10 +51,9 @@ class TestQuery:
         assert "EXPLAIN ANALYZE" in str(result.report)
         assert result.set == result.report.result
 
-    def test_parallel_and_uncached_agree(self, db):
+    def test_uncached_agrees_with_reference(self, db):
         expr = db.compile("TA * Grad + Section ! Room#")
         reference = expr.evaluate(db.graph)
-        assert db.query(expr, parallel=True).set == reference
         assert db.query(expr, use_cache=False).set == reference
 
     def test_use_cache_false_bypasses_cache(self, db):
@@ -95,21 +94,8 @@ class TestQueryResult:
 
 
 class TestDeprecatedShims:
-    def test_evaluate_warns_and_delegates(self, db):
-        with pytest.warns(DeprecationWarning, match="Database.query"):
-            result = db.evaluate("TA * Grad")
-        assert result == db.query("TA * Grad").set
-
-    def test_select_instances_warns_and_delegates(self, db):
-        with pytest.warns(DeprecationWarning):
-            instances = db.select_instances("TA * Grad", "TA")
-        assert instances == db.query("TA * Grad").instances("TA")
-
-    def test_values_warns_and_delegates(self, db):
-        result = db.query(Q1)
-        with pytest.warns(DeprecationWarning):
-            values = db.values(result.set, "SS#")
-        assert values == result.values("SS#")
+    """The entry points that replaced the removed shims: verb-specific
+    errors and bulk operations that raise no deprecation warning."""
 
     def test_explain_analyze_raises_verb_specific_error(self, db):
         with pytest.raises(EvaluationError, match="explain"):

@@ -58,5 +58,5 @@ def test_queries_after_university_round_trip(tmp_path):
             {102, 201},
         ),
     ):
-        result = restored.evaluate(query)
-        assert restored.values(result, cls) == expected
+        result = restored.query(query)
+        assert result.values(cls) == expected

@@ -110,8 +110,8 @@ class TestRoundTrip:
         db = Database(schema)
         created = db.insert(["TA", "Student", "Teacher", "Person"])
         db.link(created["Person"], db.insert_value("SS#", 123))
-        result = db.evaluate("pi(TA * Student * Person * SS#)[SS#]")
-        assert db.values(result, "SS#") == {123}
+        result = db.query("pi(TA * Student * Person * SS#)[SS#]")
+        assert result.values("SS#") == {123}
 
 
 def test_generalization_kind_preserved():

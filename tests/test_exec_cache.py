@@ -135,7 +135,7 @@ class TestUpdateKindInvalidation:
         db = Database.from_dataset(university())
         db.query("TA * Grad")  # populate the cache
         counter = db.metrics.counter("repro_plan_cache_invalidations_total")
-        gpa = next(iter(db.graph.extent("GPA")))
+        gpa = min(db.graph.extent("GPA"))
         before = counter.value()
         db.update_value(gpa, 1.11)
         # GPA participates in plans only through edges here — the cached
@@ -148,5 +148,5 @@ class TestUpdateKindInvalidation:
             > hits_before
         )
         # A structural mutation on a dependency class still invalidates.
-        db.delete(next(iter(db.graph.extent("TA"))))
+        db.delete(min(db.graph.extent("TA")))
         assert counter.value() > before

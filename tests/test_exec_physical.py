@@ -1,12 +1,12 @@
-"""Physical planning: strategy selection, plan shape, parallel dispatch."""
+"""Physical planning: strategy selection, plan shape, compact regions."""
 
 import pytest
 
-from repro.core.expression import Select, Union, ref
+from repro.core.expression import Select, ref
 from repro.core.predicates import ClassValues, Comparison, Const
 from repro.datasets import university
 from repro.engine.database import Database
-from repro.exec import Executor, parallel_branches
+from repro.exec import Executor
 from repro.obs.span import Tracer
 
 
@@ -154,58 +154,6 @@ class TestRuntimeStrategies:
         assert fallback.value() == before_f + 1
 
 
-class TestParallelBranches:
-    def test_union_frontier_parallelizes(self, db):
-        expr = ref("TA") * ref("Grad") + ref("Section") * ref("Room#")
-        branches = parallel_branches(db.executor.plan(expr))
-        assert len(branches) == 2
-
-    def test_nested_unions_flatten(self, db):
-        expr = Union(
-            ref("TA") * ref("Grad"),
-            Union(ref("Section") * ref("Room#"), ref("Student") * ref("Person")),
-        )
-        assert len(parallel_branches(db.executor.plan(expr))) == 3
-
-    def test_non_union_binary_nodes_parallelize_operands(self, db):
-        expr = (ref("TA") * ref("Grad")) - (ref("Section") * ref("Room#"))
-        assert len(parallel_branches(db.executor.plan(expr))) == 2
-
-    def test_trivial_branches_are_not_scheduled(self, db):
-        assert parallel_branches(db.executor.plan(ref("TA") + ref("Grad"))) == []
-
-    def test_search_descends_through_wrappers(self, db):
-        expr = (ref("TA") * ref("Grad") + ref("Section") * ref("Room#")).project(
-            ["TA"]
-        )
-        assert len(parallel_branches(db.executor.plan(expr))) == 2
-
-    def test_parallel_run_counts_branches_and_agrees(self, db):
-        expr = ref("TA") * ref("Grad") + ref("Section") * ref("Room#")
-        serial = db.query(expr).set
-        parallel = db.query(expr, parallel=True).set
-        assert parallel == serial
-        branches = db.metrics.counter("repro_parallel_branches_total")
-        assert branches.value() == 2
-
-    def test_parallel_trace_matches_serial_shape(self, db):
-        expr = ref("TA") * ref("Grad") + ref("Section") * ref("Room#")
-        serial, parallel = Tracer(), Tracer()
-        db.query(expr, trace=serial, use_cache=False)
-        db.query(expr, trace=parallel, parallel=True, use_cache=False)
-
-        def shape(span):
-            return (span.name, [shape(child) for child in span.children])
-
-        assert shape(parallel.roots[-1]) == shape(serial.roots[-1])
-
-    def test_branch_failure_propagates(self, db):
-        executor = Executor(db.graph)
-        expr = ref("TA") * ref("Grad") + ref("Nope") * ref("Grad")
-        with pytest.raises(Exception):
-            executor.run(expr, parallel=True)
-
-
 class TestCompactRegions:
     def test_compact_and_legacy_results_agree(self, db, legacy):
         queries = [
@@ -252,11 +200,3 @@ class TestCompactRegions:
         assert db.metrics.gauge("repro_arena_vertices").value() > 0
         assert db.metrics.gauge("repro_arena_edges").value() > 0
         assert db.metrics.counter("repro_compact_decode_total").value() > 0
-
-    def test_parallel_compact_branches_agree_with_serial(self, db):
-        expr = ref("TA") * ref("Grad") * ref("Student") + ref("Section") * ref(
-            "Room#"
-        )
-        serial = db.query(expr).set
-        parallel = db.query(expr, parallel=True, use_cache=False).set
-        assert parallel == serial

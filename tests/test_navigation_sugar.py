@@ -15,7 +15,7 @@ def db(uni):
 
 def test_single_class(uni, db):
     expr = navigate(uni.schema, "TA")
-    assert db.evaluate(expr) == db.extent("TA")
+    assert db.query(expr) == db.extent("TA")
 
 
 def test_ta_to_ssn_matches_query1_values(uni, db):
@@ -24,14 +24,14 @@ def test_ta_to_ssn_matches_query1_values(uni, db):
     expr = navigate(uni.schema, "TA", "SS#")
     # Shortest path goes TA → Teacher → Person → SS#.
     assert "Teacher" in str(expr)
-    result = db.evaluate(expr.project(["SS#"]))
-    assert db.values(result, "SS#") == {333, 444}
+    result = db.query(expr.project(["SS#"]))
+    assert result.values("SS#") == {333, 444}
 
 
 def test_multi_hop_targets(uni, db):
     """source—t1—t2 chains through intermediate anchors."""
     expr = navigate(uni.schema, "Department", "Course", "Section#")
-    result = db.evaluate(expr)
+    result = db.query(expr)
     assert result
     for pattern in result:
         assert pattern.has_class("Department")
@@ -40,7 +40,7 @@ def test_multi_hop_targets(uni, db):
 
 def test_adjacent_classes_single_hop(uni, db):
     expr = navigate(uni.schema, "Student", "GPA")
-    assert db.values(db.evaluate(expr), "GPA") == {
+    assert db.query(expr).values("GPA") == {
         3.9,
         3.4,
         3.5,

@@ -17,8 +17,8 @@ def db():
 
 class TestDatabaseMetrics:
     def test_queries_counted_and_timed(self, db):
-        db.evaluate("TA * Grad")
-        db.evaluate(ref("TA"))
+        db.query("TA * Grad")
+        db.query(ref("TA"))
         assert db.metrics.counter("repro_queries_total").value() == 2
         histogram = db.metrics.histogram("repro_query_seconds")
         assert sum(series.count for _, series in histogram.samples()) == 2
@@ -70,7 +70,7 @@ class TestGraphMetrics:
     def test_extent_scans_by_class(self, db):
         scans = db.metrics.counter("repro_extent_scans_total")
         before = scans.value(cls="TA")
-        db.evaluate("TA * Grad")
+        db.query("TA * Grad")
         assert scans.value(cls="TA") == before + 1
         assert scans.value(cls="Grad") >= 1
 

@@ -130,11 +130,6 @@ class TestEvalTraceAdapter:
         assert "patterns" in text
         assert "(TA * Grad)" in text
 
-    def test_record_keeps_manual_api(self):
-        trace = EvalTrace()
-        trace.record(ref("TA"), [1, 2, 3], 0.5)
-        assert trace.steps == [("TA", 3, 0.5)]
-
 
 class TestOperatorKindEnum:
     def test_span_kind_is_operator_kind(self, ds):

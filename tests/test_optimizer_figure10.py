@@ -15,6 +15,7 @@ import pytest
 
 from repro.core.expression import Associate, Intersect, Union, ref
 from repro.core.homogeneity import is_homogeneous
+from repro.core.operators import a_union
 from repro.datagen import figure10_dataset
 from repro.optimizer import Optimizer
 
@@ -84,6 +85,16 @@ def test_final_form_branches_are_homogeneous(ds):
     assert is_homogeneous(left)
     for pattern in right:
         assert pattern.classes() == {"A", "B", "C", "D", "H", "G"}
+
+
+def test_final_form_branches_evaluate_independently(ds):
+    """§4: the final form is "particularly suitable for a parallel system" —
+    its two A-Union branches, evaluated separately and lumped together,
+    give the whole final form and the original expression."""
+    final = final_expr()
+    separately = a_union(final.left.evaluate(ds.graph), final.right.evaluate(ds.graph))
+    assert separately == final.evaluate(ds.graph)
+    assert separately == original_expr().evaluate(ds.graph)
 
 
 def test_original_form_is_heterogeneous(ds):

@@ -53,7 +53,7 @@ class TestEvaluationOfNestedForms(object):
         from repro.engine.database import Database
 
         db = Database.from_dataset(uni)
-        result = db.evaluate("sigma(pi(sigma(GPA)[GPA > 3])[GPA])[GPA < 3.6]")
+        result = db.query("sigma(pi(sigma(GPA)[GPA > 3])[GPA])[GPA < 3.6]")
         values = {db.graph.value(v) for p in result for v in p.vertices}
         assert values == {3.2, 3.4, 3.5}
 
@@ -61,7 +61,7 @@ class TestEvaluationOfNestedForms(object):
         from repro.engine.database import Database
 
         db = Database.from_dataset(uni)
-        result = db.evaluate(
+        result = db.query(
             "pi(pi(Section * Teacher)[Section] + pi(Section * Student)[Section])"
             "[Section]"
         )

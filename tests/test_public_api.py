@@ -34,7 +34,6 @@ MODULES = [
     "repro.obs.span",
     "repro.oql",
     "repro.optimizer",
-    "repro.optimizer.parallel",
     "repro.optimizer.stats",
     "repro.relational",
     "repro.relational.nested",
@@ -107,3 +106,15 @@ def test_public_classes_have_documented_public_methods():
             if name.startswith("_") or not callable(member):
                 continue
             assert member.__doc__, f"{cls.__name__}.{name} lacks a docstring"
+
+
+def test_removed_facade_shims_stay_removed():
+    """The query and lifecycle APIs replaced these; nothing re-exports them."""
+    import repro.storage
+    from repro.engine.database import Database
+
+    for name in ("evaluate", "values", "select_instances"):
+        assert not hasattr(Database, name), f"Database.{name} is back"
+    for name in ("save_database", "load_database"):
+        assert name not in repro.storage.__all__
+        assert not hasattr(repro.storage, name), f"repro.storage.{name} is back"

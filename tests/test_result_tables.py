@@ -12,21 +12,21 @@ def db(uni):
 
 
 def test_rows_simple_query(db):
-    result = db.evaluate("pi(Name * Person * Student * GPA)[Name, GPA; Name:GPA]")
+    result = db.query("pi(Name * Person * Student * GPA)[Name, GPA; Name:GPA]").set
     rows = result_rows(result, db.graph, ["Name", "GPA"])
     assert ("Carol", "3.5") in rows
     assert len(rows) == 6
 
 
 def test_missing_class_yields_none(db):
-    result = db.evaluate("Section ! Room# + Section ! Teacher")
+    result = db.query("Section ! Room# + Section ! Teacher").set
     rows = result_rows(result, db.graph, ["Section", "Room#"])
     # The retained standalone sections have no Room# cell.
     assert any(row[1] is None for row in rows)
 
 
 def test_multiple_instances_join(db):
-    result = db.evaluate("Student * Section")
+    result = db.query("Student * Section").set
     # A pattern holds one student and one section; project nothing — each
     # row has single-instance cells.
     rows = result_rows(result, db.graph, ["Student"])
@@ -34,13 +34,13 @@ def test_multiple_instances_join(db):
 
 
 def test_nonprimitive_cells_use_labels(db):
-    result = db.evaluate("TA * Grad")
+    result = db.query("TA * Grad").set
     rows = result_rows(result, db.graph, ["TA"])
     assert all(cell.startswith("TA#") for (cell,) in rows)
 
 
 def test_render_table_layout(db):
-    result = db.evaluate("pi(Name * Person * Student * GPA)[Name, GPA; Name:GPA]")
+    result = db.query("pi(Name * Person * Student * GPA)[Name, GPA; Name:GPA]").set
     text = render_table(result, db.graph, ["Name", "GPA"])
     lines = text.splitlines()
     assert lines[0].split() == ["Name", "GPA"]
@@ -49,7 +49,7 @@ def test_render_table_layout(db):
 
 
 def test_render_table_empty_result(db):
-    result = db.evaluate("sigma(Name)[Name = 'Nobody']")
+    result = db.query("sigma(Name)[Name = 'Nobody']").set
     text = render_table(result, db.graph, ["Name"])
     assert "(no patterns)" in text
 

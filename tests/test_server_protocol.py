@@ -141,11 +141,11 @@ class TestPatternEncoding:
     def test_wire_survives_json(self, db):
         import json
 
-        wire = pattern_to_wire(next(iter(db.query("TA * Grad").set)))
+        wire = pattern_to_wire(min(db.query("TA * Grad").set, key=str))
         assert json.loads(json.dumps(wire, sort_keys=True)) == wire
 
     def test_labels_render(self, db):
-        wire = pattern_to_wire(next(iter(db.query("TA * Grad").set)))
+        wire = pattern_to_wire(min(db.query("TA * Grad").set, key=str))
         label = wire_to_labels(wire)
         assert label.startswith("(") and label.endswith(")")
         assert "TA#" in label and "Grad#" in label

@@ -41,8 +41,8 @@ def test_queries_work_after_restore(db):
         db.delete(ta)
     assert len(db.extent("TA")) == 0
     db.restore(before)
-    result = db.evaluate("pi(TA * Grad * Student * Person * SS#)[SS#]")
-    assert db.values(result, "SS#") == {333, 444}
+    result = db.query("pi(TA * Grad * Student * Person * SS#)[SS#]")
+    assert result.values("SS#") == {333, 444}
 
 
 def test_restore_emits_no_events(db):
@@ -60,10 +60,10 @@ def test_rule_rollback_scenario(db):
     for section in sorted(db.graph.extent("Section")):
         for room in sorted(db.graph.partners(rooms, section)):
             db.unlink(section, room)
-    unroomed = db.evaluate(ref("Section") ^ ref("Room#"))
+    unroomed = db.query(ref("Section") ^ ref("Room#")).set
     # Every section pairs with every (now-orphaned) room: 5 × 4 patterns.
     assert unroomed.instances_of("Section") == db.graph.extent("Section")
     assert len(unroomed) == 20
     db.restore(before)
-    unroomed = db.evaluate(ref("Section") ^ ref("Room#"))
+    unroomed = db.query(ref("Section") ^ ref("Room#")).set
     assert len(unroomed) == 1  # only the paper's section 102 again

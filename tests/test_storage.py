@@ -94,18 +94,3 @@ class TestDatabaseFiles:
         with pytest.raises(StorageError):
             fresh.save(tmp_path / "x.json")
 
-
-class TestDeprecatedShims:
-    """save_database/load_database still work, loudly."""
-
-    def test_round_trip_warns(self, db, tmp_path):
-        from repro.storage import load_database, save_database
-
-        path = tmp_path / "uni.json"
-        with pytest.warns(DeprecationWarning, match="Database.save"):
-            save_database(db, path)
-        with pytest.warns(DeprecationWarning, match="Database.open"):
-            restored = load_database(path)
-        assert set(restored.graph.instances()) == set(db.graph.instances())
-        # load_database's historical contract: the catalog comes back warm.
-        assert restored.stats.analyzed

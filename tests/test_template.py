@@ -100,9 +100,9 @@ class TestSemantics:
         dept.link(course)
         template.link(dept)
 
-        result = db.evaluate(template.compile(uni.schema))
-        assert db.values(result, "Specialty") == {"Databases", "AI"}
-        assert db.values(result, "GPA") == {3.5, 3.2, 3.8}
+        result = db.query(template.compile(uni.schema))
+        assert result.values("Specialty") == {"Databases", "AI"}
+        assert result.values("GPA") == {3.5, 3.2, 3.8}
 
     def test_match_agrees_on_figure3(self, db, uni):
         section = PatternTemplate.node("Section", branch="or")
@@ -111,13 +111,13 @@ class TestSemantics:
         student.link("GPA").link("EarnedCredit")
         section.link(student)
 
-        compiled = db.evaluate(section.compile(uni.schema))
+        compiled = db.query(section.compile(uni.schema))
         matched = match(section, db.graph)
         assert compiled == matched
 
     def test_match_with_complement_edges(self, db, uni):
         template = PatternTemplate.node("Section").link("Room#", mode="|")
-        compiled = db.evaluate(template.compile(uni.schema))
+        compiled = db.query(template.compile(uni.schema))
         matched = match(template, db.graph)
         assert compiled == matched
         assert len(matched) > 0
@@ -131,7 +131,7 @@ class TestSemantics:
             PatternTemplate.node("Room#", value_equals("Room#", "NO-SUCH")),
             mode="|",
         )
-        compiled = db.evaluate(template.compile(uni.schema))
+        compiled = db.query(template.compile(uni.schema))
         matched = match(template, db.graph)
         assert compiled == matched
         assert len(matched) == len(db.graph.extent("Section"))

@@ -27,7 +27,7 @@ def test_every_query_statically_valid(uni):
 def test_every_query_evaluates_on_university():
     db = Database.from_dataset(university())
     for query in workload(db.schema, n_queries=40, seed=2):
-        result = db.evaluate(query)
+        result = db.query(query)
         assert result is not None  # no exceptions, closed result
 
 
