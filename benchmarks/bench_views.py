@@ -11,7 +11,12 @@ compared against recomputing the view from scratch:
   every step must cost no more than applying the same 100 mutations
   without the view plus **one** full recompute at the end
   (``never worse``): even a subscriber that only reads the final state
-  pays nothing for the per-step freshness.
+  pays nothing for the per-step freshness;
+* **complement delta** — a ``σ(V0)[V0 = rare] | V1`` view on the valued
+  chain, maintained through unlink/link of V0–V1 edges whose V0 end is
+  selected (each unlink creates one Complement-pattern, each link
+  destroys one), against recomputing the view: the same ≥ 5x gate, and
+  the view must not fall back to a scoped recompute.
 
 Usage:
     python benchmarks/bench_views.py                 # table on stdout
@@ -28,7 +33,7 @@ import statistics
 import sys
 import time
 
-from seeds import CHAIN_SEED
+from seeds import CHAIN_SEED, SIGMA_SEED
 
 #: Median full recompute over median single-delta maintenance.
 GATE_MIN_SPEEDUP = 5.0
@@ -65,6 +70,15 @@ def _delta_edges(db, count: int):
     return edges
 
 
+def _median_recompute_ms(db, name: str, repeats: int) -> float:
+    times = []
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        db.refresh_view(name)
+        times.append((time.perf_counter() - t0) * 1e3)
+    return statistics.median(times)
+
+
 def _median_mutation_ms(db, edges, repeats: int) -> float:
     """Median per-mutation wall time over unlink/link pairs (ms)."""
     times = []
@@ -80,6 +94,49 @@ def _median_mutation_ms(db, edges, repeats: int) -> float:
     return statistics.median(times)
 
 
+def _complement_section(quick: bool, pair_repeats: int, recompute_repeats: int) -> dict:
+    """One V0–V1 link/unlink on a ``σ | V1`` view vs recomputing it."""
+    from repro.datagen import valued_chain_dataset
+    from repro.engine.database import Database
+
+    extent, density = (150 if quick else 300), 0.02
+    data = valued_chain_dataset(
+        n_classes=2, extent_size=extent, density=density, seed=SIGMA_SEED
+    )
+    db = Database.open(schema=data.schema, graph=data.graph, analyze=False)
+    query = f"sigma(V0)[V0 = {data.rare_value}] | V1"
+    view = db.create_view("complement", query)
+    assoc = db.schema.resolve("V0", "V1")
+    edges = sorted(
+        (a, b) if a.cls == "V0" else (b, a) for a, b in db.graph.edges(assoc)
+    )
+    edges = [(a, b) for a, b in edges if db.graph.value(a) == data.rare_value][:10]
+    if not edges:
+        raise SystemExit("no V0–V1 edge leaves a selected V0 instance")
+
+    incremental_ms = _median_mutation_ms(db, edges, pair_repeats)
+    recompute_ms = _median_recompute_ms(db, "complement", recompute_repeats)
+    speedup = recompute_ms / incremental_ms if incremental_ms else float("inf")
+    if view.patterns != frozenset(db.query(query, use_cache=False).set):
+        raise SystemExit("maintained complement view diverged from recompute")
+    return {
+        "dataset": {
+            "query": query,
+            "extent_size": extent,
+            "density": density,
+            "seed": SIGMA_SEED,
+        },
+        "view_patterns": len(view.patterns),
+        "mutations": len(edges) * 2 * pair_repeats,
+        "scoped_recomputes": view.recomputes,
+        "incremental_ms": incremental_ms,
+        "recompute_ms": recompute_ms,
+        "speedup": speedup,
+        "gate_min_speedup": GATE_MIN_SPEEDUP,
+        "gate_passed": speedup >= GATE_MIN_SPEEDUP and view.recomputes == 0,
+    }
+
+
 def views_sections(quick: bool) -> dict:
     """Measure every section of ``BENCH_views.json``."""
     db, dataset = _build(quick)
@@ -90,12 +147,7 @@ def views_sections(quick: bool) -> dict:
 
     # -- single-pattern deltas (maintenance inside the DML call) -------
     incremental_ms = _median_mutation_ms(db, edges[:10], pair_repeats)
-    recompute_times = []
-    for _ in range(recompute_repeats):
-        t0 = time.perf_counter()
-        db.refresh_view("chain")
-        recompute_times.append((time.perf_counter() - t0) * 1e3)
-    recompute_ms = statistics.median(recompute_times)
+    recompute_ms = _median_recompute_ms(db, "chain", recompute_repeats)
     speedup = recompute_ms / incremental_ms if incremental_ms else float("inf")
 
     # -- batch 100: maintained at every step vs recompute once ---------
@@ -124,6 +176,7 @@ def views_sections(quick: bool) -> dict:
         raise SystemExit("maintained view diverged from recompute")
 
     return {
+        "complement_delta": _complement_section(quick, pair_repeats, recompute_repeats),
         "dataset": {"query": VIEW_QUERY, **dataset},
         "view_patterns": len(view.patterns),
         "single_delta": {
@@ -167,6 +220,15 @@ def report_views(sections: dict) -> None:
         f"every step vs {batch['baseline_total_ms']:.3f} ms mutate+recompute-once "
         f"(never-worse: {'PASS' if batch['gate_passed'] else 'FAIL'})"
     )
+    comp = sections["complement_delta"]
+    print(
+        f"complement delta ({comp['dataset']['query']}, "
+        f"{comp['view_patterns']} pattern(s)): {comp['incremental_ms']:.4f} ms "
+        f"incremental vs {comp['recompute_ms']:.3f} ms recompute — "
+        f"{comp['speedup']:.1f}x, {comp['scoped_recomputes']} scoped recompute(s) "
+        f"(gate >= {comp['gate_min_speedup']:.0f}x and none: "
+        f"{'PASS' if comp['gate_passed'] else 'FAIL'})"
+    )
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -193,6 +255,7 @@ def main(argv: list[str] | None = None) -> int:
     ok = (
         sections["single_delta"]["gate_passed"]
         and sections["batch_100"]["gate_passed"]
+        and sections["complement_delta"]["gate_passed"]
     )
     return 0 if ok else 1
 

@@ -13,6 +13,11 @@ Special retention cases (from the formal definition)::
 i.e. when one operand cannot participate at all (it is empty or holds no
 instance of its end class), the other operand's participating patterns are
 retained verbatim.
+
+:func:`complement_join` is the main clause alone, without the retention
+cases: view maintenance joins a *delta* operand through it, where an
+operand holding no end-class instance means "nothing to join", not
+"retain the other side".
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from repro.core.pattern import Pattern
 from repro.objects.graph import ObjectGraph
 from repro.schema.graph import Association
 
-__all__ = ["a_complement"]
+__all__ = ["a_complement", "complement_join"]
 
 
 def a_complement(
@@ -39,34 +44,44 @@ def a_complement(
     a_cls, b_cls = orient(assoc, alpha_class, beta_class)
     alpha_rows = tuple(alpha.patterns_with_class(a_cls))
     beta_rows = tuple(beta.patterns_with_class(b_cls))
-
-    out: set[Pattern] = set()
     if not beta_rows:
         # β empty or without B-instances: retain α's participating patterns.
-        for pattern_a, _ in alpha_rows:
-            out.add(pattern_a)
-        return AssociationSet(out)
+        return AssociationSet(pattern_a for pattern_a, _ in alpha_rows)
     if not alpha_rows:
-        for pattern_b, _ in beta_rows:
-            out.add(pattern_b)
-        return AssociationSet(out)
+        return AssociationSet(pattern_b for pattern_b, _ in beta_rows)
+    return AssociationSet(complement_join(alpha, beta, graph, assoc, a_cls, b_cls))
 
+
+def complement_join(
+    alpha: AssociationSet,
+    beta: AssociationSet,
+    graph: ObjectGraph,
+    assoc: Association,
+    a_cls: str,
+    b_cls: str,
+) -> set[Pattern]:
+    """The main clause of ``α |[R(A,B)] β``: every ``(αⁱ, βʲ, ~a_m b_n)``.
+
+    ``a_cls``/``b_cls`` are the already-oriented end classes.  Operands
+    without end-class instances contribute nothing here.
+    """
     # Index β's participating instances once.  The original formulation
     # materialized ``complement_partners`` (an extent-sized frozenset) per
     # (pattern_a, a_m); probing the usually-small regular partner set per
     # candidate pair does the same complement test without ever building
     # the complement set.
     b_by_inst: dict = {}
-    for pattern_b, b_instances in beta_rows:
+    for pattern_b, b_instances in beta.patterns_with_class(b_cls):
         for b_n in b_instances:
             # complement edges are defined against the domain: only
             # instances present in the extent can appear in [R(A,B)]
             if graph.has_instance(b_n):
                 b_by_inst.setdefault(b_n, []).append(pattern_b)
 
+    out: set[Pattern] = set()
     recursive = assoc.left == assoc.right
     from_parts = Pattern._from_parts
-    for pattern_a, a_instances in alpha_rows:
+    for pattern_a, a_instances in alpha.patterns_with_class(a_cls):
         va, ea = pattern_a._vertices, pattern_a._edges
         for a_m in a_instances:
             partners = graph.partners(assoc, a_m)
@@ -81,4 +96,4 @@ def a_complement(
                             ea | pattern_b._edges | connect,
                         )
                     )
-    return AssociationSet(out)
+    return out

@@ -145,7 +145,7 @@ class PatternArena:
         # set denotes one AssociationSet for the arena's lifetime, so a
         # warm query mix pays the root-boundary decode only once per
         # distinct result.  Frozenset hashes are cached, so repeat lookups
-        # cost one dict probe.
+        # cost one dict probe.  Cleared on every mutation event (apply).
         self._decoded_sets: dict[frozenset, AssociationSet] = {}
         # --- derived caches (event-maintained, per-query reads) ---
         self._extent_csets: dict[str, CompactSet] = {}
@@ -423,6 +423,12 @@ class PatternArena:
         tables never shrink — ids of deleted instances simply fall out of
         every derived structure.
         """
+        # The whole-set decode memo is never wrong (its keys are
+        # append-only ids) but it is never evicted either: a mutation
+        # makes most of its entries results no query will decode again,
+        # and their keys pin superseded ``_edge_csets`` key sets.  Clearing
+        # it per event bounds it by what one mutation-free stretch decodes.
+        self._decoded_sets.clear()
         kind = event.kind
         if kind == "insert":
             for instance in event.instances:

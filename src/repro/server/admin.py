@@ -15,7 +15,7 @@ listener.  GET routes:
   JSON array (``after`` resumes from a sequence number);
 * ``/slow-queries?limit=N`` — captured slow-query records as JSON;
 * ``/views`` — one row per materialized view across mounted databases
-  (name, definition, pattern count, change version).
+  (name, definition, pattern count, change version, scoped recomputes).
 
 Anything else is ``404``; non-GET methods are ``405``.  Responses are
 ``Connection: close`` — every probe is one short-lived connection, which

@@ -21,10 +21,21 @@ WAL and the plan cache ride.  Each event is classified once into an
   because post-event children hold no anchor-bearing patterns from which
   a dropped output could be re-derived.
 
+* ``created_edge`` — the edge the event brings into the domain: a link
+  creates the Inter-pattern ``(a b)``, an unlink the Complement-pattern
+  ``(~a b)``.  A graph node joins standing patterns across it only when
+  its polarity matches the node's own (Associate: regular, A-Complement:
+  complement) and the event names the node's association.
+
+* ``shared_pair`` — edges carry no association, so when a second
+  association joins the same two classes, ``(a b)`` / ``(~a b)`` may
+  still exist through it after the event and the anchor no longer
+  singles out dead patterns.  Anchor-consuming nodes recompute instead.
+
 * ``touched_classes`` / ``association`` — relevance tests for operators
   whose value is a function of the graph beyond their operands
-  (Complement/NonAssociate read complement edges; they must rescan when
-  the event touches their end classes or their association).
+  (NonAssociate reads complement edges; it must rescan when the event
+  touches its end classes or its association).
 
 * ``updated`` — the instance whose value changed, for σ nodes to
   re-filter only the patterns containing it.
@@ -40,6 +51,7 @@ from repro.core.identity import IID
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.engine.database import MutationEvent
+    from repro.schema.graph import SchemaGraph
 
 __all__ = ["EventContext", "classify"]
 
@@ -52,45 +64,52 @@ class EventContext:
     instances: tuple[IID, ...]
     #: Removal anchors (IIDs and/or edges); empty for insert/update.
     anchors: tuple[object, ...]
-    #: The positive edge a link event added, ``None`` otherwise.
-    added_edge: Edge | None
+    #: The edge a link (regular) or unlink (complement) created, else ``None``.
+    created_edge: Edge | None
     #: The association name a link/unlink event names, ``None`` otherwise.
     association: str | None
     #: The instance whose value an update event changed, ``None`` otherwise.
     updated: IID | None
     touched_classes: frozenset[str] = field(default=frozenset())
+    #: A link/unlink between two classes that another association also joins.
+    shared_pair: bool = False
 
     def anchored(self, pattern) -> bool:
         """Whether the pattern contains any of the event's anchors."""
         return any(anchor in pattern for anchor in self.anchors)
 
 
-def classify(event: "MutationEvent") -> EventContext:
+def classify(event: "MutationEvent", schema: "SchemaGraph") -> EventContext:
     """Classify one mutation event for the maintainer node trees."""
     kind = event.kind
     touched = frozenset(i.cls for i in event.instances)
     anchors: tuple[object, ...] = ()
-    added_edge: Edge | None = None
+    created_edge: Edge | None = None
     updated: IID | None = None
     if kind == "delete":
         anchors = tuple(event.instances)
     elif kind == "unlink":
         a, b = event.instances
         anchors = (inter(a, b),)
+        created_edge = complement(a, b)
     elif kind == "link":
         a, b = event.instances
         # Linking destroys the complement edge between the endpoints:
         # complement-polarity patterns carrying it are the removals.
         anchors = (complement(a, b),)
-        added_edge = inter(a, b)
+        created_edge = inter(a, b)
     elif kind == "update":
         (updated,) = event.instances
+    shared_pair = created_edge is not None and (
+        len(schema.associations_between(created_edge.u.cls, created_edge.v.cls)) > 1
+    )
     return EventContext(
         kind=kind,
         instances=tuple(event.instances),
         anchors=anchors,
-        added_edge=added_edge,
+        created_edge=created_edge,
         association=event.association,
         updated=updated,
         touched_classes=touched,
+        shared_pair=shared_pair,
     )

@@ -27,6 +27,12 @@ Union           additions not already present; removals no longer
 Associate       join child additions against the standing other side;
                 a link joins standing patterns across the new edge;
                 anchored removals filter the output exactly
+A-Complement    the same rule with polarities swapped: an unlink joins
+                standing patterns across the new complement edge, a
+                link's anchor is the complement edge it destroys
+                (recursive associations, and events that leave either
+                operand without end-class instances before or after —
+                the retention clause — recompute)
 A-Intersect     join child additions against the standing other side;
                 anchored removals filter the output exactly (dynamic
                 shared-class sets recompute)
@@ -35,8 +41,8 @@ Difference      additions filter through the standing subtrahend; new
                 removals recompute (un-blocking is not delta-computable)
 Project         project child additions; child removals recompute (the
                 removal anchor may be projected away)
-Complement /    rescan whenever the event could change a complement
-NonAssociate    edge between the operands (their own association, an
+NonAssociate    rescan whenever the event could change a complement
+                edge between the operands (its own association, an
                 extent event on an end class, or any child delta)
 Divide          recompute on any child delta (quotients are not
                 monotone in either operand)
@@ -50,7 +56,11 @@ node's output by ``anchor in pattern`` removes exactly the derivations
 that died — nothing else can have used a removed input, and nothing
 removed can be re-derived from the post-event children.  When a child
 removal does *not* carry an anchor (e.g. it came from a recompute of a
-non-monotone descendant), the node recomputes instead of guessing.
+non-monotone descendant), the node recomputes instead of guessing.  The
+argument needs the anchor edge to be gone from the domain; when another
+association joins the event's two classes it may survive through that
+one (edges carry no association), so every node that would consult the
+anchor recomputes instead (reason ``shared-class-pair``).
 
 Cost model
 ----------
@@ -61,11 +71,12 @@ work delta-sized:
 
 * every node carries an **anchor index** mapping each vertex and each
   edge of its output to the patterns containing it, maintained
-  incrementally alongside the output itself.  Anchored removal becomes
-  one index lookup per anchor instead of a scan of the materialization,
-  and the standing-side probes of the link rule
-  (:meth:`_AssociateNode._edge_joins`) and of the σ update rule read
-  the children's indexes instead of scanning their outputs;
+  incrementally alongside the output itself, plus a per-class count of
+  the vertices it indexes (A-Complement's retention test).  Anchored
+  removal becomes one index lookup per anchor instead of a scan of the
+  materialization, and the standing-side probes of the created-edge
+  rule (:meth:`_BinaryGraphNode._edge_joins`) and of the σ update rule
+  read the children's indexes instead of scanning their outputs;
 * the working set is a **mutable** ``set`` updated in place; the
   frozenset snapshot external callers see (:attr:`_Node.out`) is
   refrozen lazily, only when someone actually reads it after a change;
@@ -80,7 +91,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
 
 from repro.core.assoc_set import AssociationSet
-from repro.core.edges import Edge, inter
+from repro.core.edges import Edge, Polarity
 from repro.core.expression import (
     Associate,
     ClassExtent,
@@ -103,6 +114,7 @@ from repro.core.operators import (
     associate,
     non_associate,
 )
+from repro.core.operators.complement import complement_join
 from repro.core.pattern import Pattern
 from repro.errors import ViewError
 from repro.optimizer.analysis import predicate_classes
@@ -142,6 +154,8 @@ class _Node:
         self._frozen: frozenset[Pattern] | None = _EMPTY
         #: vertex/edge -> patterns of ``_out`` containing it.
         self._index: dict[object, set[Pattern]] = {}
+        #: class -> number of its vertices that are keys of ``_index``.
+        self._class_vertices: dict[str, int] = {}
         self._set_cache: AssociationSet | None = None
 
     # -- materialization ------------------------------------------------
@@ -175,6 +189,7 @@ class _Node:
         self._frozen = new
         self._set_cache = None
         self._index = {}
+        self._class_vertices = {}
         for pattern in new:
             self._index_add(pattern)
 
@@ -188,10 +203,12 @@ class _Node:
 
     def _index_add(self, pattern: Pattern) -> None:
         index = self._index
+        counts = self._class_vertices
         for vertex in pattern.vertices:
             bucket = index.get(vertex)
             if bucket is None:
                 bucket = index[vertex] = set()
+                counts[vertex.cls] = counts.get(vertex.cls, 0) + 1
             bucket.add(pattern)
         for edge in pattern.edges:
             bucket = index.get(edge)
@@ -201,12 +218,14 @@ class _Node:
 
     def _index_remove(self, pattern: Pattern) -> None:
         index = self._index
+        counts = self._class_vertices
         for vertex in pattern.vertices:
             bucket = index.get(vertex)
             if bucket is not None:
                 bucket.discard(pattern)
                 if not bucket:
                     del index[vertex]
+                    counts[vertex.cls] -= 1
         for edge in pattern.edges:
             bucket = index.get(edge)
             if bucket is not None:
@@ -221,6 +240,10 @@ class _Node:
         must not hold it across an update of this node.
         """
         return self._index.get(token, _EMPTY)
+
+    def holds_class(self, cls: str) -> bool:
+        """Whether any output pattern holds an instance of ``cls`` (O(1))."""
+        return self._class_vertices.get(cls, 0) > 0
 
     def _anchor_hits(self, ctx: EventContext) -> frozenset[Pattern]:
         """The output patterns containing any of the event's anchors."""
@@ -358,29 +381,31 @@ class _UnionNode(_Node):
 
 
 class _BinaryGraphNode(_Node):
-    """Shared association binding for Associate/Complement/NonAssociate."""
+    """Shared association binding for Associate/Complement/NonAssociate,
+    and the join rule Associate and A-Complement share.
+
+    ``polarity`` is the polarity of the node's join edges: the rule joins
+    across ``ctx.created_edge`` only when the two match.
+    """
+
+    polarity = Polarity.REGULAR
 
     def bind(self, graph):
         self.assoc, self.a_cls, self.b_cls = self.expr.resolve(graph)
 
+    def _join(self, alpha, beta, graph) -> Iterable[Pattern]:
+        """The operator's main clause over two operands (no retention)."""
+        raise NotImplementedError
 
-class _AssociateNode(_BinaryGraphNode):
-    def _evaluate(self, graph):
-        return associate(
-            self.children[0].as_set(),
-            self.children[1].as_set(),
-            graph,
-            self.assoc,
-            self.a_cls,
-            self.b_cls,
-        ).patterns
+    def _relevant(self, ctx: EventContext) -> bool:
+        """Whether the event could change an edge between the operands."""
+        if ctx.association == self.assoc.name:
+            return True
+        return ctx.kind in ("insert", "delete") and bool(
+            ctx.touched_classes & {self.a_cls, self.b_cls}
+        )
 
-    def _join(self, alpha, beta, graph):
-        return associate(
-            alpha, beta, graph, self.assoc, self.a_cls, self.b_cls
-        ).patterns
-
-    def _edge_joins(self, edge: Edge, graph) -> set[Pattern]:
+    def _edge_joins(self, edge: Edge) -> set[Pattern]:
         """Outputs created by joining standing patterns across a new edge.
 
         The patterns holding each endpoint come off the children's
@@ -392,7 +417,7 @@ class _AssociateNode(_BinaryGraphNode):
         for x, y in ((edge.u, edge.v), (edge.v, edge.u)):
             if x.cls != self.a_cls or y.cls != self.b_cls:
                 continue
-            join = inter(x, y)
+            join = Edge(x, y, self.polarity)
             rights = right.patterns_containing(y)
             if not rights:
                 continue
@@ -401,13 +426,15 @@ class _AssociateNode(_BinaryGraphNode):
                     out.add(pattern.union(other, join))
         return out
 
-    def _delta(self, ctx, graph, deltas, recomputes):
+    def _join_delta(self, ctx, graph, deltas, recomputes):
         dl, dr = deltas
         if (dl.removed or dr.removed) and (
             not ctx.anchors or self._unanchored(ctx, deltas)
         ):
             return self._recompute(graph, "unanchored-removal", recomputes)
         removed = self._anchor_hits(ctx) if ctx.anchors else _EMPTY
+        if ctx.shared_pair and (removed or dl.removed or dr.removed):
+            return self._recompute(graph, "shared-class-pair", recomputes)
         added: set[Pattern] = set()
         if dl.added:
             added |= self._join(
@@ -417,11 +444,13 @@ class _AssociateNode(_BinaryGraphNode):
             added |= self._join(
                 self.children[0].as_set(), AssociationSet.from_frozen(dr.added), graph
             )
+        edge = ctx.created_edge
         if (
-            ctx.added_edge is not None
+            edge is not None
+            and edge.polarity is self.polarity
             and ctx.association == self.assoc.name
         ):
-            added |= self._edge_joins(ctx.added_edge, graph)
+            added |= self._edge_joins(edge)
         if removed:
             self._apply((), removed)
         added_f = frozenset(added) - self._out if added else _EMPTY
@@ -430,6 +459,18 @@ class _AssociateNode(_BinaryGraphNode):
         if not added_f and not removed:
             return _NO_CHANGE
         return NodeDelta(added_f, removed)
+
+
+class _AssociateNode(_BinaryGraphNode):
+    def _evaluate(self, graph):
+        return self._join(self.children[0].as_set(), self.children[1].as_set(), graph)
+
+    def _join(self, alpha, beta, graph):
+        return associate(
+            alpha, beta, graph, self.assoc, self.a_cls, self.b_cls
+        ).patterns
+
+    _delta = _BinaryGraphNode._join_delta
 
 
 class _IntersectNode(_Node):
@@ -454,6 +495,8 @@ class _IntersectNode(_Node):
             not ctx.anchors or self._unanchored(ctx, deltas)
         ):
             return self._recompute(graph, "unanchored-removal", recomputes)
+        if ctx.shared_pair and (dl.removed or dr.removed):
+            return self._recompute(graph, "shared-class-pair", recomputes)
         removed = (
             self._anchor_hits(ctx) if (dl.removed or dr.removed) else _EMPTY
         )
@@ -540,14 +583,26 @@ class _ProjectNode(_Node):
 
 
 class _ComplementNode(_BinaryGraphNode):
-    """Complement-polarity operators: rescan whenever relevant.
+    """A-Complement: the Associate join rule across complement edges.
 
-    Their value depends on the *absence* of edges between the operand
-    instances, which no operand delta describes; the sound incremental
-    move is a scoped recompute gated on a precise relevance test.
+    While both operands hold end-class instances the output is the main
+    clause alone, and a link/unlink is the dual of Associate's: a link
+    destroys exactly one Complement-pattern ``(~a b)`` (the anchor), an
+    unlink creates exactly one (``ctx.created_edge``).  Outside that
+    regime — the retention clause in play before or after the event — or
+    over a recursive association the node rescans when relevant.
     """
 
-    reason = "complement-rescan"
+    polarity = Polarity.COMPLEMENT
+
+    def bind(self, graph):
+        super().bind(graph)
+        self.recursive = self.assoc.left == self.assoc.right
+        self._joining = self._participating()
+
+    def _participating(self) -> bool:
+        left, right = self.children
+        return left.holds_class(self.a_cls) and right.holds_class(self.b_cls)
 
     def _evaluate(self, graph):
         return a_complement(
@@ -559,21 +614,28 @@ class _ComplementNode(_BinaryGraphNode):
             self.b_cls,
         ).patterns
 
-    def _delta(self, ctx, graph, deltas, recomputes):
-        if any(deltas) or self._relevant(ctx):
-            return self._recompute(graph, self.reason, recomputes)
-        return _NO_CHANGE
-
-    def _relevant(self, ctx: EventContext) -> bool:
-        if ctx.association == self.assoc.name:
-            return True
-        return ctx.kind in ("insert", "delete") and bool(
-            ctx.touched_classes & {self.a_cls, self.b_cls}
+    def _join(self, alpha, beta, graph):
+        return complement_join(
+            alpha, beta, graph, self.assoc, self.a_cls, self.b_cls
         )
 
+    def _delta(self, ctx, graph, deltas, recomputes):
+        was_joining, self._joining = self._joining, self._participating()
+        if was_joining and self._joining and not self.recursive:
+            return self._join_delta(ctx, graph, deltas, recomputes)
+        if any(deltas) or self._relevant(ctx):
+            return self._recompute(graph, "complement-rescan", recomputes)
+        return _NO_CHANGE
 
-class _NonAssociateNode(_ComplementNode):
-    reason = "nonassociate-rescan"
+
+class _NonAssociateNode(_BinaryGraphNode):
+    """NonAssociate: rescan whenever relevant.
+
+    Whether an instance may join depends on its edges to *every*
+    end-class instance of the other operand, so one link can change
+    patterns that share nothing with it; the sound incremental move is a
+    scoped recompute gated on a relevance test.
+    """
 
     def _evaluate(self, graph):
         return non_associate(
@@ -584,6 +646,11 @@ class _NonAssociateNode(_ComplementNode):
             self.a_cls,
             self.b_cls,
         ).patterns
+
+    def _delta(self, ctx, graph, deltas, recomputes):
+        if any(deltas) or self._relevant(ctx):
+            return self._recompute(graph, "nonassociate-rescan", recomputes)
+        return _NO_CHANGE
 
 
 class _DivideNode(_Node):

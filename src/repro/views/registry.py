@@ -54,6 +54,9 @@ class MaterializedView:
         self.maintainer = maintainer
         #: Bumped on every materialization change (delta or refresh diff).
         self.version = 1
+        #: Scoped recomputes its maintenance nodes fell back to (one per
+        #: node per event; full refreshes are not counted).
+        self.recomputes = 0
 
     @property
     def patterns(self) -> frozenset[Pattern]:
@@ -65,6 +68,7 @@ class MaterializedView:
             "expr": str(self.expr),
             "patterns": len(self),
             "version": self.version,
+            "recomputes": self.recomputes,
         }
 
     def __len__(self) -> int:
@@ -197,10 +201,11 @@ class ViewRegistry:
             self.refresh_all("out_of_band")
             return
         started = time.perf_counter()
-        ctx = classify(event)
+        ctx = classify(event, self._db.schema)
         for name in sorted(self._views):
             view = self._views[name]
             delta, recomputes = view.maintainer.apply(ctx)
+            view.recomputes += len(recomputes)
             for _operator, reason in recomputes:
                 self._m_recompute.inc(reason=reason)
             if delta:

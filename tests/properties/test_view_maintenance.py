@@ -46,6 +46,10 @@ VIEW_DEFS = {
     "union": "A + B",
     "difference": "(A * B) - sigma(A * B)[V < 1.0]",
     "complement": "A | B",
+    # removals from value updates under a complement
+    "complement_select": "sigma(V * A)[V < 2.0] | B",
+    # a complement under a parent
+    "complement_nested": "(A | B) - (sigma(V * A)[V < 1.0] | B)",
     "nonassociate": "A ! B",
     "intersect": "A & B",
     "project": "pi(A * B)[A]",

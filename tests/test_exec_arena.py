@@ -7,7 +7,7 @@ from repro.core.edges import Polarity, complement, inter
 from repro.errors import PatternError
 from repro.core.pattern import Pattern
 from repro.datasets import figure7, university
-from repro.engine.database import Database
+from repro.engine.database import Database, MutationEvent
 from repro.exec import PatternArena
 from repro.exec.arena import CompactSet, make_key
 
@@ -125,6 +125,17 @@ class TestEventMaintenance:
         after = arena.extent_cset("TA")
         assert arena.vid(victim) not in after.keys
         assert len(after.keys) == len(before.keys) - 1
+
+    def test_mutation_clears_decoded_set_memo(self, db):
+        arena = db.executor.arena
+        cset = arena.extent_cset("TA")
+        first = arena.decode_set(cset)
+        assert arena.decode_set(cset) is first  # memo hit between mutations
+        arena.apply(MutationEvent("update", (min(db.graph.extent("GPA")),)))
+        assert arena._decoded_sets == {}
+        again = arena.decode_set(cset)
+        assert again == first
+        assert arena.decode_set(cset) is again
 
     def test_link_and_unlink_patch_adjacency_and_edge_set(self, db):
         arena = db.executor.arena

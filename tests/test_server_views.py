@@ -51,6 +51,16 @@ class TestViewOps:
             with pytest.raises(ServerError):
                 client.subscribe("missing")
 
+    def test_rows_report_scoped_recomputes(self, server):
+        with ServerClient(server.host, server.port) as client:
+            client.create_view("joined", "TA * Grad")
+            client.create_view("apart", "TA ! Grad")
+            ta, grad = _join_endpoints(client.subscribe("joined"))
+            client.mutate([{"action": "unlink", "a": ta, "b": grad}])
+            rows = {row["name"]: row for row in client.views()}
+        assert rows["joined"]["recomputes"] == 0  # the Associate delta rule
+        assert rows["apart"]["recomputes"] == 1  # NonAssociate rescans
+
     def test_views_are_shared_across_sessions(self, server):
         with ServerClient(server.host, server.port) as a:
             a.create_view("shared", "TA * Grad")
@@ -228,5 +238,6 @@ class TestAdminViewsRoute:
                 "expr": "(TA * Grad)",
                 "patterns": 2,
                 "version": 1,
+                "recomputes": 0,
             }
         ]

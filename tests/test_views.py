@@ -16,6 +16,7 @@ from repro.core.predicates import Callback, TruePredicate
 from repro.datasets import university
 from repro.engine.database import Database
 from repro.errors import ViewError
+from repro.schema.graph import SchemaGraph
 from repro.views.serialize import expr_from_dict, expr_to_dict
 
 
@@ -117,12 +118,32 @@ class TestRecomputeFallbacks:
     def _recomputes(self, db, reason):
         return db.metrics.counter("repro_view_recompute_total").value(reason=reason)
 
-    def test_complement_falls_back(self, db):
-        db.create_view("v", "TA | Grad")
+    def test_complement_maintained_without_recompute(self, db):
+        view = db.create_view("v", "TA | Grad")
+        assoc = db.schema.resolve("TA", "Grad")
+        ta, grad = min(db.graph.edges(assoc))
+        db.unlink(ta, grad)  # creates (~ta grad): joined across, not rescanned
+        assert view.patterns == _fresh(db, "v")
+        db.link(ta, grad)  # destroys it again: an anchored removal
+        assert view.patterns == _fresh(db, "v")
+        db.insert(["TA", "Grad"])  # child additions on both sides
+        assert view.patterns == _fresh(db, "v")
+        assert view.recomputes == 0
+
+    def test_complement_retention_boundary_recomputes(self, db):
+        view = db.create_view("v", "TA | Grad")
+        victims = sorted(db.graph.extent("TA"))
+        for victim in victims[:-1]:
+            db.delete(victim)
+        assert view.recomputes == 0
         before = self._recomputes(db, "complement-rescan")
-        db.insert(["TA", "Grad"])
+        # The last TA goes: the left operand holds no end-class instance,
+        # so the retention clause now keeps every Grad pattern verbatim.
+        db.delete(victims[-1])
         assert self._recomputes(db, "complement-rescan") > before
-        assert db.view("v").patterns == _fresh(db, "v")
+        assert view.recomputes == 1
+        assert view.patterns == _fresh(db, "v")
+        assert view.patterns == frozenset(db.query("Grad").set)
 
     def test_nonassociate_falls_back(self, db):
         db.create_view("v", "TA ! Grad")
@@ -162,6 +183,52 @@ class TestRecomputeFallbacks:
         assert delta.value(view="v", op="add") == 1
         gauge = db.metrics.gauge("repro_view_patterns")
         assert gauge.value(view="v") == len(view.patterns)
+
+
+class TestSharedClassPair:
+    """Two associations between the same classes: edges carry no
+    association, so an event on R2 must not be read as one on R1."""
+
+    @pytest.fixture()
+    def pair_db(self):
+        schema = SchemaGraph("pair")
+        for cls in ("A", "B", "C"):
+            schema.add_entity_class(cls)
+        schema.add_association("A", "B", "R1")
+        schema.add_association("A", "B", "R2")
+        schema.add_association("B", "C", "BC")
+        return Database.open(schema=schema, analyze=False)
+
+    @pytest.mark.parametrize(
+        "op, action, anchor_hit",
+        [
+            ("*", "unlink", True),  # R1 still links a, b: keep (a b)
+            ("*", "link", False),
+            ("|", "link", True),  # R1 still does not: keep (~a b)
+            ("|", "unlink", False),
+        ],
+    )
+    def test_event_on_other_association(self, pair_db, op, action, anchor_hit):
+        db = pair_db
+        a, b, c = (db.insert(cls)[cls] for cls in ("A", "B", "C"))
+        db.link(b, c)
+        if op == "*":
+            db.link(a, b, "R1")
+        if action == "unlink":
+            db.link(a, b, "R2")
+        direct = db.create_view("direct", f"A {op}[R1(A,B)] B")
+        nested = db.create_view("nested", f"(A {op}[R1(A,B)] B) * C")
+        assert direct.patterns
+        before = db.metrics.counter("repro_view_recompute_total").value(
+            reason="shared-class-pair"
+        )
+        getattr(db, action)(a, b, "R2")
+        assert direct.patterns == _fresh(db, "direct")
+        assert nested.patterns == _fresh(db, "nested")
+        after = db.metrics.counter("repro_view_recompute_total").value(
+            reason="shared-class-pair"
+        )
+        assert (after > before) == anchor_hit
 
 
 class TestOutOfBandGuard:
