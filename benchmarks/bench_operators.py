@@ -7,7 +7,9 @@ physical executor (:mod:`repro.exec` — adjacency indexes + sub-plan
 cache) against the naive logical evaluator on Associate-heavy queries at
 the largest datagen scale, asserting the speedup the indexes buy; a
 fourth pits the compact-kernel path against that indexed executor on a
-macro Associate/Intersect query and asserts its speedup in turn.
+macro Associate/Intersect query and asserts its speedup in turn; later
+sections gate compiled σ, the NonAssociate bitmask kernel and each kernel
+of the served ``scan_cold`` plans against their object twins.
 """
 
 import time
@@ -450,6 +452,98 @@ def test_nonassociate_mask_kernel_never_slower(chain200):
         f"mask NonAssociate kernel slower than object operator: "
         f"{kernel_s * 1e3:.3f}ms vs {object_s * 1e3:.3f}ms"
     )
+
+
+# ----------------------------------------------------------------------
+# compact kernels vs their object twins: the kernel-closed scan shapes
+# ----------------------------------------------------------------------
+
+
+def kernel_cases(ds):
+    """``{name: (kernel thunk, object thunk)}`` for each kernel that closes
+    the served ``scan_cold`` plans, on the valued chain ``ds``.
+
+    Operands are built once by the reference operators and encoded once;
+    each thunk then runs one operator node the way its plan runs it — the
+    batch kernel over compact operands, the object operator over
+    association-sets — so neither side pays encode or decode.  The second
+    element of every pair is the kernel's reference in
+    :mod:`repro.core.operators`.  A plain function so ``report.py`` times
+    the same cases.
+    """
+    from repro.core.operators.project import ChainTemplate
+    from repro.exec import PatternArena
+    from repro.exec.columns import compile_pattern_select
+    from repro.exec.kernels import (
+        k_complement,
+        k_difference,
+        k_divide,
+        k_project,
+        k_select_patterns,
+    )
+
+    graph, rare = ds.graph, ds.rare_value
+    v0, v1, v2 = (AssociationSet.of_inners(graph.extent(c)) for c in ("V0", "V1", "V2"))
+    a01 = ds.schema.resolve("V0", "V1")
+    a12 = ds.schema.resolve("V1", "V2")
+    chains = associate(associate(v0, v1, graph, a01), v2, graph, a12)
+    is_rare = Comparison(ClassValues("V2"), "=", Const(rare))
+    below_rare = Comparison(ClassValues("V2"), "<", Const(rare))
+    not_below = a_select(chains, below_rare, graph)
+    rare_v0 = a_select(v0, Comparison(ClassValues("V0"), "=", Const(rare)), graph)
+    divisor = associate(v1, a_select(v2, is_rare, graph), graph, a12)
+    # grouped by V1, only a one-pattern divisor leaves a non-empty answer
+    one_divisor = AssociationSet([min(divisor, key=str)])
+    templates = [ChainTemplate(("V0",)), ChainTemplate(("V1", "V2"))]
+
+    arena = PatternArena(graph)
+    enc = arena.encode_set
+    c_chains, c_not_below, c_divisor = enc(chains), enc(not_below), enc(divisor)
+    c_one_divisor = enc(one_divisor)
+    c_rare_v0, c_v1 = enc(rare_v0), enc(v1)
+    program = compile_pattern_select(is_rare)
+    cases = {
+        "select_patterns": (
+            lambda: k_select_patterns(arena, c_chains, program),
+            lambda: a_select(chains, is_rare, graph),
+        ),
+        "difference": (
+            lambda: k_difference(c_chains, c_not_below),
+            lambda: a_difference(chains, not_below),
+        ),
+        "project": (
+            lambda: k_project(arena, c_chains, templates),
+            lambda: a_project(chains, templates),
+        ),
+        "divide": (
+            lambda: k_divide(arena, c_chains, c_divisor),
+            lambda: a_divide(chains, divisor),
+        ),
+        "divide_grouped": (
+            lambda: k_divide(arena, c_chains, c_one_divisor, ("V1",)),
+            lambda: a_divide(chains, one_divisor, ("V1",)),
+        ),
+        "complement": (
+            lambda: k_complement(arena, c_rare_v0, c_v1, a01, "V0", "V1"),
+            lambda: a_complement(rare_v0, v1, graph, a01, "V0", "V1"),
+        ),
+    }
+    return arena, cases
+
+
+def test_scan_kernels_never_slower(sigma_chain):
+    """Gate: each kernel that closes the ``scan_cold`` plans is at least as
+    fast as its object twin on the σ-heavy chain, with bit-identical
+    results (25% slack absorbs timer noise on sub-millisecond runs)."""
+    arena, cases = kernel_cases(sigma_chain)
+    for name, (kernel, reference) in cases.items():
+        assert arena.decode_set(kernel()) == reference(), name
+        kernel_s = _median_seconds(kernel)
+        object_s = _median_seconds(reference)
+        assert kernel_s <= object_s * 1.25, (
+            f"{name} kernel slower than its object operator: "
+            f"{kernel_s * 1e3:.3f}ms vs {object_s * 1e3:.3f}ms"
+        )
 
 
 # ----------------------------------------------------------------------

@@ -331,7 +331,12 @@ def operator_sections(quick: bool) -> dict:
     Mirrors the workloads of ``bench_operators.py`` (the operand builders
     are shared) with ``{median_ms, p95_ms, samples}`` per entry.
     """
-    from bench_operators import _macro_query, fig8_operand_sets, sigma_query
+    from bench_operators import (
+        _macro_query,
+        fig8_operand_sets,
+        kernel_cases,
+        sigma_query,
+    )
 
     from repro.core.assoc_set import AssociationSet
     from repro.core.operators import (
@@ -456,6 +461,22 @@ def operator_sections(quick: bool) -> dict:
         lambda: sigma_exec.run(sigma_expr, use_cache=False), repeat
     )
     object_stats = sampled(run_object_select, repeat)
+
+    # The kernels closing the served scan_cold plans, each against its
+    # object twin on the same valued chain (operands pre-encoded).
+    arena, cases = kernel_cases(sigma_ds)
+    scan_kernels = {}
+    for name, (kernel, reference) in cases.items():
+        assert arena.decode_set(kernel()) == reference(), name
+        kernel_stats = sampled(kernel, repeat)
+        reference_stats = sampled(reference, repeat)
+        scan_kernels[name] = {
+            "kernel": kernel_stats,
+            "object": reference_stats,
+            "speedup_median": round(
+                reference_stats["median_ms"] / kernel_stats["median_ms"], 2
+            ),
+        }
     return {
         "fig8_micro": fig8_micro,
         "chain_macro": {
@@ -494,6 +515,10 @@ def operator_sections(quick: bool) -> dict:
             "speedup_median": round(
                 object_stats["median_ms"] / compiled_stats["median_ms"], 2
             ),
+        },
+        "scan_kernels_vs_object": {
+            "extent_size": sigma_extent,
+            "kernels": scan_kernels,
         },
     }
 
@@ -596,9 +621,24 @@ def report_operators(sections: dict) -> None:
         _stat_rows({"compiled": sigma["compiled"], "object": sigma["object"]}),
     )
     print(f"\ncompiled-σ speedup over object path: {sigma['speedup_median']}x")
+    scan = sections["scan_kernels_vs_object"]
+    table(
+        f"E.5 scan_cold kernels vs object operators (valued chain, extent"
+        f" {scan['extent_size']}; median ms)",
+        ["kernel", "kernel ms", "object ms", "speedup"],
+        [
+            [
+                name,
+                f"{entry['kernel']['median_ms']:.3f}",
+                f"{entry['object']['median_ms']:.3f}",
+                f"{entry['speedup_median']}x",
+            ]
+            for name, entry in scan["kernels"].items()
+        ],
+    )
     sharded = sections["sharded_chain"]
     table(
-        f"E.5 sharded scatter-gather (extent {sharded['extent_size']},"
+        f"E.6 sharded scatter-gather (extent {sharded['extent_size']},"
         f" {sharded['workers']} workers; ms)",
         ["path", "median ms", "p95 ms", "samples"],
         _stat_rows(

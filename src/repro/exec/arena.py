@@ -128,6 +128,10 @@ class PatternArena:
         self._cls_vids_frozen: dict[int, frozenset[int]] = {}
         self._eids: dict[tuple[int, int, Polarity], int] = {}
         self._edges: list[Edge] = []
+        # eid → its (u, v, polarity) interning key: kernels that walk a
+        # pattern's edges (Project's chain templates) read endpoints and
+        # polarity as ints instead of hashing Edge objects back to vids
+        self._ekeys: list[tuple[int, int, Polarity]] = []
         # Interning must be safe under the query service's worker threads,
         # which share one database's arena: readers use plain dict lookups
         # (atomic under the GIL); writers take the lock, re-check, and
@@ -175,9 +179,13 @@ class PatternArena:
             self._g_edges = metrics.gauge(
                 "repro_arena_edges", "Edges interned in the pattern arena"
             )
+            self._g_decoded = metrics.gauge(
+                "repro_arena_decoded_patterns",
+                "Patterns held by the arena's decoded-pattern memo",
+            )
         else:
             self._m_encoded = self._m_decoded = None
-            self._g_vertices = self._g_edges = None
+            self._g_vertices = self._g_edges = self._g_decoded = None
 
     # ------------------------------------------------------------------
     # interning
@@ -229,6 +237,7 @@ class PatternArena:
                 if e is None:
                     e = len(self._edges)
                     self._edges.append(edge)
+                    self._ekeys.append(key)
                     self._eids[key] = e
                     if self._g_edges is not None:
                         self._g_edges.set(e + 1)
@@ -255,6 +264,7 @@ class PatternArena:
                     edge = Edge(self._iids[u], self._iids[v], polarity)
                     e = len(self._edges)
                     self._edges.append(edge)
+                    self._ekeys.append(key)
                     self._eids[key] = e
                     if self._g_edges is not None:
                         self._g_edges.set(e + 1)
@@ -306,6 +316,8 @@ class PatternArena:
             decode = self.decode_key
             result = AssociationSet.from_frozen(frozenset(map(decode, cset.keys)))
             self._decoded_sets[cset.keys] = result
+            if self._g_decoded is not None:
+                self._g_decoded.set(len(self._decoded))
         return result
 
     # ------------------------------------------------------------------
@@ -513,6 +525,7 @@ class PatternArena:
             self._cls_vids_frozen.clear()
             self._eids.clear()
             self._edges.clear()
+            self._ekeys.clear()
             self._decoded.clear()
             self._decoded_sets.clear()
             self._extent_csets.clear()
@@ -524,6 +537,7 @@ class PatternArena:
             if self._g_vertices is not None:
                 self._g_vertices.set(0)
                 self._g_edges.set(0)
+                self._g_decoded.set(0)
 
     # ------------------------------------------------------------------
     # introspection

@@ -54,7 +54,7 @@ from __future__ import annotations
 import operator
 import threading
 from array import array
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Any, Iterable
 
 from repro.core.expression import ClassExtent, Expr, Select
@@ -74,6 +74,7 @@ from repro.core.predicates import (
 __all__ = [
     "Column",
     "ColumnStore",
+    "compile_pattern_select",
     "compile_select",
     "compiled_select_probe",
 ]
@@ -505,25 +506,27 @@ def compile_select(predicate: Predicate, cls: str):
     try:
         return _compile_cached(predicate, cls)
     except TypeError:  # unhashable predicate parts: compile uncached
-        return _compile(predicate, cls)
+        return _compile(predicate, partial(_compile_comparison, cls=cls))
 
 
 @lru_cache(maxsize=512)
 def _compile_cached(predicate: Predicate, cls: str):
-    return _compile(predicate, cls)
+    return _compile(predicate, partial(_compile_comparison, cls=cls))
 
 
-def _compile(predicate: Predicate, cls: str):
+def _compile(predicate: Predicate, leaf):
+    """Fold ``predicate``'s combinators around its comparisons, each
+    lowered by ``leaf`` (``None`` anywhere makes the whole tree ``None``)."""
     if isinstance(predicate, TruePredicate):
         return _TRUE
     if isinstance(predicate, Comparison):
-        return _compile_comparison(predicate, cls)
+        return leaf(predicate)
     if isinstance(predicate, (And, Or)):
         conj = isinstance(predicate, And)
         absorb, identity = (_FALSE, _TRUE) if conj else (_TRUE, _FALSE)
         children = []
         for child in predicate.operands:
-            node = _compile(child, cls)
+            node = _compile(child, leaf)
             if node is None:
                 return None
             if node == absorb:
@@ -536,7 +539,7 @@ def _compile(predicate: Predicate, cls: str):
             return children[0]
         return ("and" if conj else "or", tuple(children))
     if isinstance(predicate, Not):
-        node = _compile(predicate.operand, cls)
+        node = _compile(predicate.operand, leaf)
         if node is None:
             return None
         if node == _TRUE:
@@ -628,6 +631,75 @@ def compiled_select_probe(expr: Expr) -> str | None:
     if compile_select(expr.predicate, cls) is None:
         return None
     return cls
+
+
+# ----------------------------------------------------------------------
+# σ over multi-instance patterns
+# ----------------------------------------------------------------------
+
+
+def compile_pattern_select(predicate: Predicate):
+    """Lower ``predicate`` over arbitrary patterns to an *atom* program,
+    or ``None`` when any part must run on the object path.
+
+    Over a pattern holding several instances of a class, a comparison
+    between that class's values and constants is an ∃ (or ∀) over the
+    instance-by-constant pairs, so it decomposes per instance: the
+    pattern satisfies it iff some (or, non-vacuously, every) one of its
+    instances satisfies the same comparison as a singleton — exactly the
+    vid set :meth:`ColumnStore.eval_select` returns for the atom.  Program
+    nodes are ``("atom", cls, forall, comparison)`` plus the
+    ``and``/``or``/``not``/``true``/``false`` combinators, folded like
+    :func:`compile_select`'s; combinators apply per pattern.
+
+    Uncompilable: ``Callback`` and any value other than constants and one
+    class's values (``Apply``, ``ClassInstances``), comparisons with class
+    values on both sides, and ``const in Class`` under ``forall`` — its
+    "every constant occurs among the instances" reading is not a
+    per-instance test.
+    """
+    try:
+        return _compile_pattern_cached(predicate)
+    except TypeError:  # unhashable predicate parts: compile uncached
+        return _compile(predicate, _compile_atom)
+
+
+@lru_cache(maxsize=512)
+def _compile_pattern_cached(predicate: Predicate):
+    return _compile(predicate, _compile_atom)
+
+
+def _value_classes(value: ValueExpr) -> frozenset | None:
+    """Classes whose values ``value`` reads; ``None`` if not column-backed."""
+    if isinstance(value, Const):
+        return frozenset()
+    if isinstance(value, ClassValues):
+        return frozenset((value.cls,))
+    if isinstance(value, ValueUnion):
+        out: frozenset = frozenset()
+        for operand in value.operands:
+            part = _value_classes(operand)
+            if part is None:
+                return None
+            out |= part
+        return out
+    return None
+
+
+def _compile_atom(p: Comparison):
+    left, right = _value_classes(p.left), _value_classes(p.right)
+    if left is None or right is None or (left and right):
+        return None
+    classes = left | right
+    if len(classes) > 1:
+        return None
+    cls = min(classes) if classes else None
+    node = _compile_comparison(p, cls)
+    if node is None or node[0] != "leaf":
+        return node  # uncompilable, or folded to a constant
+    if p.op == "in" and node[4] and p.quantifier == "forall":
+        return None
+    return ("atom", cls, p.quantifier == "forall", p)
 
 
 # ----------------------------------------------------------------------

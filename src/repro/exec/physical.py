@@ -19,12 +19,13 @@ strategy                  applies to
                           (Associate is commutative, so the swap is free)
 ``value-index-scan``      ``σ(X)[X = const]`` — answered from the per-class
                           value index, then re-checked by the predicate
-``compact-select``        any other σ over a bare extent whose predicate
-                          compiles to column masks
-                          (:func:`repro.exec.columns.compile_select`) —
-                          evaluated as a selection bitmask over the arena's
-                          typed attribute columns, joined to the region by
-                          ``k_select_mask``
+``compact-select``        any other σ whose predicate compiles to column
+                          masks — over a bare extent as one selection
+                          bitmask (:func:`repro.exec.columns.compile_select`,
+                          ``k_select_mask``), over any other compact operand
+                          as one mask per comparison atom
+                          (:func:`repro.exec.columns.compile_pattern_select`,
+                          ``k_select_patterns``)
 ``compact-kernel``        any maximal operator subtree closed over the batch
                           kernels of :mod:`repro.exec.kernels` — executed
                           over the integer-interned arena representation,
@@ -33,14 +34,17 @@ strategy                  applies to
                           plan cache (reported at run time, not plan time)
 ========================  =====================================================
 
-Everything else keeps its reference kernel under an honest strategy name
-(``complement-scan``, ``free-set-scan``, ``hash-intersect``, ``union``,
-``difference``, ``divide``, ``object-eval``, ``project``, ``literal``).
-``object-eval`` is the per-pattern ``Predicate.evaluate`` σ path — the
-fallback for predicates the column compiler cannot lower.  With
-``PhysicalPlanner(compact=False)`` the compact path is disabled and
-those reference strategies also cover Associate/NonAssociate/Intersect/
-Union/Difference/value-index/compiled Select.
+Three shapes keep a reference kernel under an honest strategy name: a
+σ whose predicate cannot lower (``Callback``, computed values, two
+class-value sides, ``const in Class`` under ``forall``) or whose operand
+holds a literal (``object-eval``, per-pattern ``Predicate.evaluate``); a
+Project with path links (``project``); and a binary graph operator whose
+association does not resolve.  An operator above one of them falls back
+too.  With ``PhysicalPlanner(compact=False)`` the compact path is
+disabled and the reference strategies (``index-join``,
+``complement-scan``, ``free-set-scan``, ``hash-intersect``, ``union``,
+``difference``, ``divide``, ``object-eval``, ``project``,
+``value-index-scan``, ``literal``) cover every operator.
 
 The planner never consults instance data — only the schema and O(1)
 statistics — so planning is cheap enough to run per query.
@@ -79,14 +83,18 @@ from repro.core.operators import (
 from repro.errors import EvaluationError
 from repro.exec.arena import CompactSet, PatternArena
 from repro.exec.cache import PlanCache, canonicalize
-from repro.exec.columns import compiled_select_probe
+from repro.exec.columns import compile_pattern_select, compiled_select_probe
 from repro.exec.indexes import IndexManager
 from repro.exec.kernels import (
     k_associate,
+    k_complement,
     k_difference,
+    k_divide,
     k_intersect,
     k_nonassociate,
+    k_project,
     k_select_mask,
+    k_select_patterns,
     k_union,
 )
 from repro.core.pattern import Pattern
@@ -543,6 +551,39 @@ class CompactDifference(CompactNode):
         return k_difference(left, right)
 
 
+class CompactComplement(CompactNode):
+    """A-Complement over the non-adjacent pairs of the arena adjacency."""
+
+    kernel = "complement-join"
+
+    def _kernel(self, ctx, trace, span):
+        assoc, a_cls, b_cls = self.expr.resolve(ctx.graph)
+        left = self.children[0].execute_compact(ctx, trace)
+        right = self.children[1].execute_compact(ctx, trace)
+        return k_complement(ctx.arena, left, right, assoc, a_cls, b_cls)
+
+
+class CompactDivide(CompactNode):
+    """A-Divide, grouped on {W} vids or not, by anchored containment."""
+
+    kernel = "grouped-containment"
+
+    def _kernel(self, ctx, trace, span):
+        left = self.children[0].execute_compact(ctx, trace)
+        right = self.children[1].execute_compact(ctx, trace)
+        return k_divide(ctx.arena, left, right, self.expr.classes)
+
+
+class CompactProject(CompactNode):
+    """A-Project with chain templates only (path links keep ``project``)."""
+
+    kernel = "chain-project"
+
+    def _kernel(self, ctx, trace, span):
+        operand = self.children[0].execute_compact(ctx, trace)
+        return k_project(ctx.arena, operand, self.expr.templates)
+
+
 class CompactValueSelect(CompactNode):
     """``σ(X)[X = const]`` over the value index, interned on the way in.
 
@@ -603,6 +644,27 @@ class CompactMaskSelect(CompactNode):
         return k_select_mask(base, vids)
 
 
+class CompactPatternSelect(CompactNode):
+    """σ over any compact operand via per-atom vid sets.
+
+    The predicate was lowered at plan time to an atom program
+    (:func:`repro.exec.columns.compile_pattern_select`); each atom is one
+    column-mask evaluation, and the kernel keeps the patterns whose
+    instances satisfy the program — no Pattern is decoded.
+    """
+
+    strategy = "compact-select"
+    kernel = "pattern-mask"
+
+    def __init__(self, expr, children, key, deps, program) -> None:
+        super().__init__(expr, children, key, deps)
+        self.program = program
+
+    def _kernel(self, ctx, trace, span):
+        operand = self.children[0].execute_compact(ctx, trace)
+        return k_select_patterns(ctx.arena, operand, self.program)
+
+
 class CompactShardSelect(CompactNode):
     """σ over a bare extent keeping one OID-hash partition of it.
 
@@ -649,8 +711,23 @@ def _shard_select_probe(expr):
     return None
 
 
-#: Binary operators a compact region can contain (Select is handled apart).
-_KERNEL_OPS = (Associate, NonAssociate, Intersect, Union, Difference)
+#: Operators a compact region can contain (Select is handled apart).
+_KERNEL_OPS = (
+    Associate,
+    Complement,
+    NonAssociate,
+    Intersect,
+    Union,
+    Difference,
+    Divide,
+    Project,
+)
+
+
+def _literal_free(expr: Expr) -> bool:
+    return not isinstance(expr, Literal) and all(
+        _literal_free(child) for child in expr.children()
+    )
 
 
 # ----------------------------------------------------------------------
@@ -662,19 +739,17 @@ class PhysicalPlanner:
     """Turns logical expression trees into physical plans.
 
     With ``compact=True`` (the default) every maximal operator subtree
-    closed over the kernel-supported operators — Associate, NonAssociate,
-    A-Intersect, A-Union, A-Difference, and value-index A-Select — plans
-    as a compact region executed by the batch kernels; everything else
-    keeps the reference strategies.  Kernel-supported operators that fall
-    back (an unsupported operand below them, or an unresolvable
+    closed over the kernel-supported operators — all nine, with the
+    exceptions listed in the module docstring — plans as a compact region
+    executed by the batch kernels; everything else keeps the reference
+    strategies.  Kernel-supported operators that fall back (an
+    unsupported operand below them, path links, or an unresolvable
     association) are counted by ``repro_compact_fallback_total``.
 
-    With ``compiled_select=True`` (the default) a σ over a bare extent
-    whose predicate the column compiler can lower plans as a
-    ``compact-select`` mask evaluation; σ-over-extent predicates it
-    cannot lower are counted by ``repro_select_fallback_total`` and run
-    the object path.  ``repro_select_compiled_total`` counts the lowered
-    ones.
+    With ``compiled_select=True`` (the default) a σ whose predicate the
+    column compiler can lower plans as a ``compact-select`` mask
+    evaluation, counted by ``repro_select_compiled_total``; a σ left on
+    the object path is counted by ``repro_select_fallback_total``.
     """
 
     def __init__(
@@ -698,7 +773,7 @@ class PhysicalPlanner:
             )
             self._m_select_fallback = metrics.counter(
                 "repro_select_fallback_total",
-                "Selects over bare extents falling back to the object path",
+                "Selects falling back to the object path",
             )
         else:
             self._m_fallbacks = None
@@ -743,7 +818,6 @@ class PhysicalPlanner:
             if (
                 compiled
                 and isinstance(expr, Select)
-                and isinstance(expr.operand, ClassExtent)
                 and self._m_select_fallback is not None
             ):
                 self._m_select_fallback.inc()
@@ -811,11 +885,11 @@ class PhysicalPlanner:
 
         Leaves (extents, literals) are encodable but do not *start* a
         region — a bare extent at the root stays a plain extent-scan.
-        Associate/NonAssociate additionally need a resolvable association
-        (unresolvable ones must raise through the reference path, at the
-        same tree position).
+        The binary graph operators additionally need a resolvable
+        association (unresolvable ones must raise through the reference
+        path, at the same tree position); a Project needs no path links.
         """
-        if isinstance(expr, (Associate, NonAssociate)):
+        if isinstance(expr, (Associate, Complement, NonAssociate)):
             try:
                 expr.resolve(self.graph)
             except EvaluationError:
@@ -823,19 +897,32 @@ class PhysicalPlanner:
             return self._encodable(expr.left, compiled) and self._encodable(
                 expr.right, compiled
             )
-        if isinstance(expr, (Intersect, Union, Difference)):
+        if isinstance(expr, (Intersect, Union, Difference, Divide)):
             return self._encodable(expr.left, compiled) and self._encodable(
                 expr.right, compiled
             )
+        if isinstance(expr, Project):
+            return not expr.links and self._encodable(expr.operand, compiled)
         if isinstance(expr, Select):
-            # Both σ forms apply only over a bare extent, which is always
-            # encodable: the value-index probe, and the compiled column
-            # masks (exact only over singleton patterns).
+            # The value-index probe and the whole-predicate column masks
+            # (exact only over singleton patterns) apply over a bare
+            # extent, which is always encodable.
             if value_index_probe(expr) is not None:
                 return True
             if _shard_select_probe(expr) is not None:
                 return True
-            return compiled and compiled_select_probe(expr) is not None
+            if not compiled:
+                return False
+            if compiled_select_probe(expr) is not None:
+                return True
+            # Per-atom masks over any operand.  Literal operands may hold
+            # instances without a live column row, on which the reference
+            # raises — they keep the object path.
+            return (
+                compile_pattern_select(expr.predicate) is not None
+                and _literal_free(expr.operand)
+                and self._encodable(expr.operand, compiled)
+            )
         return False
 
     def _encodable(self, expr: Expr, compiled: bool) -> bool:
@@ -860,15 +947,22 @@ class PhysicalPlanner:
             if edge_scannable(expr, self.graph):
                 return CompactEdgeScan(expr, children, key, deps)
             return CompactJoin(expr, children, key, deps)
-        if isinstance(expr, NonAssociate):
+        if isinstance(expr, (Complement, NonAssociate)):
             deps = deps | self._assoc_deps(expr)
-            return CompactFreeSetScan(expr, children, key, deps)
+            node_cls = (
+                CompactComplement if isinstance(expr, Complement) else CompactFreeSetScan
+            )
+            return node_cls(expr, children, key, deps)
         if isinstance(expr, Intersect):
             return CompactIntersect(expr, children, key, deps)
         if isinstance(expr, Union):
             return CompactUnion(expr, children, key, deps)
         if isinstance(expr, Difference):
             return CompactDifference(expr, children, key, deps)
+        if isinstance(expr, Divide):
+            return CompactDivide(expr, children, key, deps)
+        if isinstance(expr, Project):
+            return CompactProject(expr, children, key, deps)
         assert isinstance(expr, Select)  # guaranteed by _compact_ok
         deps = deps | predicate_classes(expr.predicate)
         probe = value_index_probe(expr)
@@ -878,7 +972,10 @@ class PhysicalPlanner:
         flt = _shard_select_probe(expr)
         if flt is not None:
             return CompactShardSelect(expr, children, key, deps, flt)
-        cls = compiled_select_probe(expr)
         if self._m_select_compiled is not None:
             self._m_select_compiled.inc()
-        return CompactMaskSelect(expr, children, key, deps, cls)
+        cls = compiled_select_probe(expr)
+        if cls is not None:
+            return CompactMaskSelect(expr, children, key, deps, cls)
+        program = compile_pattern_select(expr.predicate)
+        return CompactPatternSelect(expr, children, key, deps, program)

@@ -1,8 +1,14 @@
 """Shared Hypothesis strategies for random algebra expressions.
 
-Used by the OQL round-trip property and the optimizer soundness property.
-Expressions are generated over the fixed A—B—C—D chain schema so that all
-shorthand association resolutions are unambiguous.
+Used by the OQL round-trip property, the optimizer soundness property and
+the physical/compact equivalence properties.  Expressions are generated
+over the fixed A—B—C—D chain schema so that all shorthand association
+resolutions are unambiguous.
+
+By default everything generated has an OQL form.  ``printable=False``
+adds the shapes OQL cannot spell — the ``forall`` quantifier and
+``ValueUnion`` constant lists — so the executors' fallback edges (e.g.
+``const in Class`` under ``forall``) are reached too.
 """
 
 from __future__ import annotations
@@ -22,37 +28,80 @@ from repro.core.expression import (
     Union,
     ref,
 )
-from repro.core.predicates import And, ClassValues, Comparison, Const, Not, Or
+from repro.core.predicates import (
+    And,
+    ClassValues,
+    Comparison,
+    Const,
+    Not,
+    Or,
+    ValueUnion,
+)
 
 CLASSES = ("A", "B", "C", "D")
 ADJACENT = {("A", "B"): "AB", ("B", "C"): "BC", ("C", "D"): "CD"}
+#: Projection templates: single classes and chains along the schema.
+TEMPLATES = (
+    ("A",),
+    ("B",),
+    ("C",),
+    ("D",),
+    ("A", "B"),
+    ("B", "C"),
+    ("C", "B"),
+    ("A", "B", "C"),
+    ("B", "C", "D"),
+)
 
-__all__ = ["CLASSES", "ADJACENT", "predicates", "expressions"]
+__all__ = ["CLASSES", "ADJACENT", "TEMPLATES", "predicates", "expressions"]
+
+_CONSTANTS = st.one_of(
+    st.integers(min_value=-3, max_value=3),
+    st.integers(min_value=-99, max_value=99),
+    st.text(alphabet="abcXYZ ", max_size=6),
+)
 
 
 @st.composite
-def predicates(draw, depth: int = 2):
-    """A random printable predicate over the chain classes."""
+def comparisons(draw, printable: bool = True):
+    """One comparison atom over the chain classes.
+
+    ``Class op const`` in either orientation, ``in`` in either
+    orientation, and two-class ``Class op Class``; unprintable draws add
+    ``ValueUnion`` constant lists and the ``forall`` quantifier.
+    """
+    cls = ClassValues(draw(st.sampled_from(CLASSES)))
+    op = draw(st.sampled_from(["=", "!=", "<", "<=", ">", ">=", "in"]))
+    if printable or draw(st.booleans()):
+        consts = Const(draw(_CONSTANTS))
+    else:
+        consts = ValueUnion(*(Const(c) for c in draw(st.lists(_CONSTANTS, max_size=3))))
+    shape = draw(st.sampled_from(["column-left", "column-right", "two-class"]))
+    if shape == "two-class":
+        left, right = cls, ClassValues(draw(st.sampled_from(CLASSES)))
+    elif shape == "column-left":
+        left, right = cls, consts
+    else:
+        left, right = consts, cls
+    quantifier = "exists" if printable else draw(st.sampled_from(["exists", "forall"]))
+    return Comparison(left, op, right, quantifier)
+
+
+@st.composite
+def predicates(draw, depth: int = 2, printable: bool = True):
+    """A random predicate over the chain classes (printable by default)."""
     if depth == 0 or draw(st.booleans()):
-        cls = draw(st.sampled_from(CLASSES))
-        op = draw(st.sampled_from(["=", "!=", "<", "<=", ">", ">="]))
-        constant = draw(
-            st.one_of(
-                st.integers(min_value=-99, max_value=99),
-                st.text(alphabet="abcXYZ ", max_size=6),
-            )
-        )
-        return Comparison(ClassValues(cls), op, Const(constant))
+        return draw(comparisons(printable))
     kind = draw(st.sampled_from(["and", "or", "not"]))
     if kind == "not":
-        return Not(draw(predicates(depth=depth - 1)))
-    left = draw(predicates(depth=depth - 1))
-    right = draw(predicates(depth=depth - 1))
+        return Not(draw(predicates(depth - 1, printable)))
+    left = draw(predicates(depth - 1, printable))
+    right = draw(predicates(depth - 1, printable))
     return And(left, right) if kind == "and" else Or(left, right)
 
 
 @st.composite
-def expressions(draw, depth: int = 3):
+def expressions(draw, depth: int = 3, printable: bool = True):
     """A random well-formed expression over the chain schema."""
     if depth == 0:
         return ref(draw(st.sampled_from(CLASSES)))
@@ -66,8 +115,8 @@ def expressions(draw, depth: int = 3):
         node = draw(st.sampled_from([Associate, Complement, NonAssociate]))
         spec = AssocSpec(left_cls, right_cls, name) if draw(st.booleans()) else None
         return node(ref(left_cls), ref(right_cls), spec)
-    left = draw(expressions(depth=depth - 1))
-    right = draw(expressions(depth=depth - 1))
+    left = draw(expressions(depth - 1, printable))
+    right = draw(expressions(depth - 1, printable))
     if kind == "binary":
         node = draw(st.sampled_from([Union, Difference]))
         return node(left, right)
@@ -76,9 +125,9 @@ def expressions(draw, depth: int = 3):
         classes = draw(st.sets(st.sampled_from(CLASSES), min_size=1, max_size=2))
         return node(left, right, frozenset(classes))
     if kind == "select":
-        return Select(left, draw(predicates()))
+        return Select(left, draw(predicates(printable=printable)))
     templates = tuple(
-        (draw(st.sampled_from(CLASSES)),)
+        draw(st.sampled_from(TEMPLATES))
         for _ in range(draw(st.integers(min_value=1, max_value=2)))
     )
     links = ()

@@ -34,12 +34,18 @@ def chain_schema() -> SchemaGraph:
     return schema
 
 
+#: Instance values of ``object_graphs(valued=True)``: small ints that
+#: collide with predicate constants, a string, and missing values.
+_VALUES = st.one_of(st.none(), st.integers(min_value=-3, max_value=3), st.just("a"))
+
+
 @st.composite
-def object_graphs(draw, max_extent: int = 3) -> ObjectGraph:
+def object_graphs(draw, max_extent: int = 3, valued: bool = False) -> ObjectGraph:
     """A random object graph over the chain schema.
 
     Extent sizes 1..max_extent per class; each potential edge of each
-    association is present independently.
+    association is present independently.  ``valued`` gives instances
+    self-describing values for predicates to compare.
     """
     schema = chain_schema()
     graph = ObjectGraph(schema)
@@ -48,7 +54,8 @@ def object_graphs(draw, max_extent: int = 3) -> ObjectGraph:
         size = draw(st.integers(min_value=1, max_value=max_extent))
         for _ in range(size):
             oid += 1
-            graph.add_instance(cls, oid)
+            value = draw(_VALUES) if valued else None
+            graph.add_instance(cls, oid, value)
     for left, right in (("A", "B"), ("B", "C"), ("C", "D")):
         assoc = schema.resolve(left, right)
         for a in sorted(graph.extent(left)):

@@ -18,20 +18,44 @@ from hypothesis import HealthCheck, given, settings
 
 from repro.core.assoc_set import AssociationSet
 from repro.core.operators import (
+    a_complement,
     a_difference,
+    a_divide,
     a_intersect,
+    a_project,
+    a_select,
     a_union,
     associate,
     non_associate,
 )
-from repro.datagen import chain_dataset, figure10_dataset, workload
+from repro.core.operators.project import ChainTemplate
+from repro.core.predicates import (
+    And,
+    ClassValues,
+    Comparison,
+    Const,
+    Not,
+    Or,
+    ValueUnion,
+)
+from repro.datagen import (
+    chain_dataset,
+    figure10_dataset,
+    valued_chain_dataset,
+    workload,
+)
 from repro.engine.database import Database
 from repro.exec import Executor, PatternArena
+from repro.exec.columns import compile_pattern_select
 from repro.exec.kernels import (
     k_associate,
+    k_complement,
     k_difference,
+    k_divide,
     k_intersect,
     k_nonassociate,
+    k_project,
+    k_select_patterns,
     k_union,
 )
 from tests.properties.expr_strategies import expressions
@@ -99,6 +123,83 @@ def test_kernels_match_reference_operators(seed):
     assert dec(k_intersect(arena, enc(chains), enc(longer))) == a_intersect(
         chains, longer
     )
+    # equal keys settle containment before the anchored probe
+    assert dec(k_difference(enc(longer), enc(longer))) == a_difference(
+        longer, longer
+    )
+    assert dec(
+        k_complement(arena, enc(k0), enc(k1), a01, "K0", "K1")
+    ) == a_complement(k0, k1, graph, a01)
+    assert dec(
+        k_complement(arena, enc(chains), enc(k2), a12, "K1", "K2")
+    ) == a_complement(chains, k2, graph, a12)
+    # both retention clauses: one operand without end-class instances
+    assert dec(
+        k_complement(arena, enc(chains), enc(k0), a12, "K1", "K2")
+    ) == a_complement(chains, k0, graph, a12, "K1", "K2")
+    assert dec(
+        k_complement(arena, enc(k2), enc(chains), a12, "K1", "K2")
+    ) == a_complement(k2, chains, graph, a12, "K1", "K2")
+    for divisor in (k2, chains, associate(k1, k2, graph, a12), AssociationSet.empty()):
+        for classes in (None, ("K1",), ("K0", "K1")):
+            assert dec(
+                k_divide(arena, enc(longer), enc(divisor), classes)
+            ) == a_divide(longer, divisor, classes), classes
+    for texts in (("K0",), ("K1", "K2"), ("K0*K1",), ("K2*K1*K0", "K1")):
+        templates = [ChainTemplate.parse(t) for t in texts]
+        for operand in (longer, k1):
+            assert dec(k_project(arena, enc(operand), templates)) == a_project(
+                operand, templates
+            )
+
+
+def _pattern_select_predicates():
+    v0, v1, v2 = (ClassValues(c) for c in ("V0", "V1", "V2"))
+    pool = ValueUnion(Const(0), Const(2), Const(999_983))
+    return [
+        Comparison(v2, "=", Const(999_983)),
+        Comparison(v1, "<", Const(3), "forall"),
+        Comparison(Const(2), "<=", v0),
+        Comparison(Const(0), "!=", v1, "forall"),
+        Comparison(v1, "in", pool),
+        Comparison(v1, "in", pool, "forall"),
+        Comparison(Const(2), "in", v0),
+        Comparison(v2, "=", ValueUnion()),
+        And(Comparison(v0, "=", Const(0)), Not(Comparison(v2, ">", Const(1), "forall"))),
+        Or(
+            Comparison(v0, "=", Const(999_983)),
+            Comparison(v1, "in", pool),
+            Comparison(v2, "<", Const(2)),
+        ),
+    ]
+
+
+@given(st.integers(min_value=0, max_value=19))
+@RELAXED
+def test_pattern_select_kernel_matches_a_select(seed):
+    ds = valued_chain_dataset(n_classes=3, extent_size=12, density=0.2, seed=seed)
+    graph = ds.graph
+    arena = PatternArena(graph)
+    v0, v1, v2 = (AssociationSet.of_inners(graph.extent(c)) for c in ("V0", "V1", "V2"))
+    chains = associate(
+        associate(v0, v1, graph, ds.schema.resolve("V0", "V1")),
+        v2,
+        graph,
+        ds.schema.resolve("V1", "V2"),
+    )
+    operand = a_union(chains, v1)
+    for predicate in _pattern_select_predicates():
+        program = compile_pattern_select(predicate)
+        assert program is not None, predicate
+        got = arena.decode_set(k_select_patterns(arena, arena.encode_set(operand), program))
+        assert got == a_select(operand, predicate, graph), predicate
+    # the fallback edges: uncompilable atoms keep the object path
+    assert compile_pattern_select(
+        Comparison(Const(0), "in", ClassValues("V1"), "forall")
+    ) is None
+    assert compile_pattern_select(
+        Comparison(ClassValues("V0"), "<", ClassValues("V1"))
+    ) is None
 
 
 # ----------------------------------------------------------------------
@@ -109,8 +210,8 @@ def test_kernels_match_reference_operators(seed):
 @given(st.data())
 @RELAXED
 def test_compact_executor_matches_indexed_and_reference(data):
-    graph = data.draw(object_graphs(max_extent=3))
-    expr = data.draw(expressions(depth=2))
+    graph = data.draw(object_graphs(max_extent=3, valued=True))
+    expr = data.draw(expressions(depth=2, printable=False))
     reference = expr.evaluate(graph)
     compact = Executor(graph)
     indexed = Executor(graph, compact=False)

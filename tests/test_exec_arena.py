@@ -177,8 +177,15 @@ class TestReset:
 
     def test_reset_zeroes_gauges(self):
         db = Database.from_dataset(university())
-        db.query("TA * Grad")
+        result = db.query("TA * Grad").set
+        decoded = db.metrics.gauge("repro_arena_decoded_patterns")
         assert db.metrics.gauge("repro_arena_vertices").value() > 0
+        assert decoded.value() == len(db.executor.arena._decoded) == len(result)
+        # a plan closed over the kernels decodes only its root's patterns
+        projected = db.query("pi(TA * Grad * Student)[Grad]", use_cache=False).set
+        held = len(db.executor.arena._decoded)
+        assert decoded.value() == held <= len(result) + len(projected)
         db.executor.arena.reset()
         assert db.metrics.gauge("repro_arena_vertices").value() == 0
         assert db.metrics.gauge("repro_arena_edges").value() == 0
+        assert decoded.value() == 0

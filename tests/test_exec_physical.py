@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.expression import Select, ref
 from repro.core.predicates import ClassValues, Comparison, Const
+from repro.datagen import valued_chain_dataset
 from repro.datasets import university
 from repro.engine.database import Database
 from repro.exec import Executor
@@ -74,12 +75,13 @@ class TestStrategySelection:
         assert db.executor.plan(expr).strategy == "object-eval"
 
     def test_unsupported_operators_keep_reference_kernels(self, db, legacy):
-        expr = (ref("TA") | ref("Grad")) + (ref("Section") ^ ref("Room#"))
+        linked = (ref("TA") * ref("Grad")).project(["TA", "Grad"], ["TA:Grad"])
+        expr = linked + (ref("Section") ^ ref("Room#"))
         covered = strategies(db.executor.plan(expr))
-        # A-Complement has no kernel, which also forces the Union above it
-        # to fall back; the NonAssociate subtree still runs compact.
-        assert {"complement-scan", "union", "compact-kernel"} <= covered
-        assert {"complement-scan", "free-set-scan", "union"} <= strategies(
+        # A Project with path links has no kernel, which also forces the
+        # Union above it to fall back; the other subtrees still run compact.
+        assert {"project", "union", "compact-kernel"} <= covered
+        assert {"project", "free-set-scan", "union"} <= strategies(
             legacy.plan(expr)
         )
 
@@ -119,7 +121,7 @@ class TestRuntimeStrategies:
         assert trace.roots[-1].attributes.get("strategy") == "cache-hit"
 
     def test_explain_analyze_shows_strategy_per_node(self, db):
-        report = db.query("pi(TA * Grad)[TA]", explain=True).report
+        report = db.query("pi(TA * Grad)[TA, Grad; TA:Grad]", explain=True).report
         text = str(report)
         assert "via project" in text
         assert "via compact-kernel" in text  # the TA * Grad region
@@ -169,17 +171,20 @@ class TestCompactRegions:
             assert legacy.run(expr, use_cache=False) == reference
 
     def test_project_above_region_falls_back_but_region_stays_compact(self, db):
-        plan = db.executor.plan((ref("TA") * ref("Grad")).project(["TA"]))
+        plan = db.executor.plan(
+            (ref("TA") * ref("Grad")).project(["TA", "Grad"], ["TA:Grad"])
+        )
         assert plan.strategy == "project"
         assert plan.children[0].strategy == "compact-kernel"
 
     def test_fallback_counter_counts_blocked_kernel_ops(self, db):
         counter = db.metrics.counter("repro_compact_fallback_total")
         before = counter.value()
-        # Union over a Complement operand: Union is kernel-supported but
-        # cannot run compact, Complement itself is not counted.
-        db.executor.plan((ref("TA") | ref("Grad")) + ref("TA"))
-        assert counter.value() == before + 1
+        # Union over a linked Project operand: both are kernel-supported
+        # operators planned with reference strategies.
+        linked = (ref("TA") * ref("Grad")).project(["TA", "Grad"], ["TA:Grad"])
+        db.executor.plan(linked + ref("TA"))
+        assert counter.value() == before + 2
 
     def test_compact_interior_cache_hit_reported(self, db):
         expr = ref("TA") * ref("Grad") * ref("Student")
@@ -200,3 +205,58 @@ class TestCompactRegions:
         assert db.metrics.gauge("repro_arena_vertices").value() > 0
         assert db.metrics.gauge("repro_arena_edges").value() > 0
         assert db.metrics.counter("repro_compact_decode_total").value() > 0
+
+
+#: The seven read shapes of the served benchmark's ``scan_cold`` workload
+#: (``benchmarks/e2e/loadgen.py``), copied as text: three-class chains cut
+#: down by Project, σ over composites, Difference, Divide and A-Complement.
+SCAN_COLD_SHAPES = (
+    "pi(V0*V1*V2)[V0]",
+    "pi(V1*V2*V3)[V3]",
+    "sigma(V0*V1*V2)[V2 = 999983]",
+    "sigma(V1*V2*V3)[V1 = 999983]",
+    "sigma(V0)[V0 = 0]*V1*V2 - sigma(V0)[V0 = 0]*V1*sigma(V2)[V2 < 999983]",
+    "(V1*V2*V3) / (sigma(V3)[V3 = 999983] * V2)",
+    "(sigma(V0)[V0 = 999983] | V1) - (sigma(V0)[V0 = 999983] | sigma(V1)[V1 < 999983])",
+)
+
+
+class TestKernelClosedPlans:
+    @pytest.fixture()
+    def chain_db(self):
+        return Database.from_dataset(
+            valued_chain_dataset(n_classes=4, extent_size=30, density=0.1, seed=11)
+        )
+
+    @pytest.mark.parametrize("text", SCAN_COLD_SHAPES)
+    def test_scan_cold_shapes_plan_compact_roots(self, chain_db, text):
+        fallbacks = chain_db.metrics.counter("repro_compact_fallback_total")
+        before = fallbacks.value()
+        expr = chain_db.compile(text)
+        plan = chain_db.executor.plan(expr)
+        assert plan.strategy.startswith("compact-")
+        assert all(node.strategy.startswith("compact-") for node, _ in plan.walk())
+        assert fallbacks.value() == before
+        reference = expr.evaluate(chain_db.graph)
+        assert chain_db.query(text, use_cache=False).set == reference
+        legacy = Executor(chain_db.graph, compact=False)
+        assert not legacy.plan(expr).strategy.startswith("compact-")
+
+    def test_unsupported_shapes_plan_reference_nodes(self, chain_db):
+        from repro.core.predicates import Callback
+
+        fallbacks = chain_db.metrics.counter("repro_compact_fallback_total")
+        chain = ref("V0") * ref("V1") * ref("V2")
+        before = fallbacks.value()
+        callback = chain_db.executor.plan(Select(chain, Callback(lambda p, g: True)))
+        assert callback.strategy == "object-eval"
+        assert fallbacks.value() == before
+        linked = chain_db.executor.plan(chain.project(["V0", "V2"], ["V0:V2"]))
+        assert linked.strategy == "project"
+        assert linked.children[0].strategy == "compact-kernel"
+        assert fallbacks.value() == before + 1
+        # a Union has no tail class, so the shorthand association cannot
+        # resolve: the reference join raises at run time
+        unresolvable = chain_db.executor.plan((ref("V1") + ref("V2")) * ref("V3"))
+        assert unresolvable.strategy == "index-join"
+        assert fallbacks.value() == before + 2

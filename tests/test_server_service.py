@@ -576,7 +576,7 @@ class TestSlowQueryLog:
         assert record["query"] == "pi(TA * Grad)[TA]"
         assert record["reason"] == "latency"
         assert record["elapsed_ms"] >= 50
-        assert record["strategy"] == "project"
+        assert record["strategy"] == "compact-kernel"
         assert record["stats_version"] == 0
         assert record["admission"]["inflight"] >= 1
         # Chosen plan with strategy annotations and per-node cardinality
