@@ -3,13 +3,12 @@
 Each operator is measured twice: on the paper's exact Figure 8 operands
 (micro — answers are asserted to match the figures) and on a scaled
 synthetic association-set workload (macro).  A third section pits the
-physical executor (:mod:`repro.exec` — adjacency indexes + sub-plan
+physical executor (:mod:`repro.exec` — compact kernels + sub-plan
 cache) against the naive logical evaluator on Associate-heavy queries at
-the largest datagen scale, asserting the speedup the indexes buy; a
-fourth pits the compact-kernel path against that indexed executor on a
-macro Associate/Intersect query and asserts its speedup in turn; later
-sections gate compiled σ, the NonAssociate bitmask kernel and each kernel
-of the served ``scan_cold`` plans against their object twins.
+the largest datagen scale, asserting the speedup it buys; a fourth times
+the executor on a macro Associate/Intersect query; later sections gate
+compiled σ, the NonAssociate bitmask kernel and each kernel of the served
+``scan_cold`` plans against their object twins.
 """
 
 import time
@@ -276,7 +275,7 @@ def test_naive_associate_chain(benchmark, chain200):
 def test_indexed_associate_chain(benchmark, chain200):
     expr = _chain_query()
     executor = Executor(chain200.graph)
-    executor.run(expr)  # warm the indexes and the sub-plan cache
+    executor.run(expr)  # warm the arena and the sub-plan cache
     result = benchmark(lambda: executor.run(expr))
     assert result == expr.evaluate(chain200.graph)
 
@@ -284,13 +283,13 @@ def test_indexed_associate_chain(benchmark, chain200):
 def test_indexed_associate_chain_uncached(benchmark, chain200):
     expr = _chain_query()
     executor = Executor(chain200.graph)
-    executor.run(expr, use_cache=False)  # warm the indexes only
+    executor.run(expr, use_cache=False)  # warm the arena only
     result = benchmark(lambda: executor.run(expr, use_cache=False))
     assert result == expr.evaluate(chain200.graph)
 
 
 def test_indexed_speedup_on_associate_heavy_query(chain200):
-    """Acceptance gate: indexes + cache buy ≥3× on the Associate chain."""
+    """Acceptance gate: kernels + cache buy ≥3× on the Associate chain."""
     expr = _chain_query()
     reference = expr.evaluate(chain200.graph)
     executor = Executor(chain200.graph)
@@ -302,8 +301,7 @@ def test_indexed_speedup_on_associate_heavy_query(chain200):
 
 
 # ----------------------------------------------------------------------
-# compact vs indexed: the arena kernels against the PR-2 executor on a
-# macro Associate/Intersect query (same chain200 dataset)
+# the macro Associate/Intersect query (same chain200 dataset)
 # ----------------------------------------------------------------------
 
 
@@ -315,25 +313,9 @@ def _macro_query():
 def test_compact_macro_intersect_chain(benchmark, chain200):
     expr = _macro_query()
     executor = Executor(chain200.graph)
-    executor.run(expr, use_cache=False)  # warm the arena and indexes
+    executor.run(expr, use_cache=False)  # warm the arena
     result = benchmark(lambda: executor.run(expr, use_cache=False))
     assert result == expr.evaluate(chain200.graph)
-
-
-def test_compact_speedup_on_macro_intersect_chain(chain200):
-    """Acceptance gate: compact kernels buy ≥2× over the indexed executor
-    on the macro Associate/Intersect query, plans uncached on both sides."""
-    expr = _macro_query()
-    reference = expr.evaluate(chain200.graph)
-    compact = Executor(chain200.graph)
-    indexed = Executor(chain200.graph, compact=False)
-    # warm the arena / indexes and verify both agree with the reference
-    assert compact.run(expr, use_cache=False) == reference
-    assert indexed.run(expr, use_cache=False) == reference
-    compact_s = _median_seconds(lambda: compact.run(expr, use_cache=False))
-    indexed_s = _median_seconds(lambda: indexed.run(expr, use_cache=False))
-    speedup = indexed_s / compact_s
-    assert speedup >= 2.0, f"compact speedup only {speedup:.1f}x"
 
 
 # ----------------------------------------------------------------------
@@ -382,47 +364,60 @@ def test_compiled_select_sigma_chain(benchmark, sigma_chain):
     assert result == expr.evaluate(sigma_chain.graph)
 
 
-def _run_object_select(executor, expr):
-    """One uncached run with σ forced onto the per-pattern object path."""
-    plan = executor.plan(expr, compiled_select=False)
-    return executor.run(expr, use_cache=False, plan=plan)
+def object_sigma_chain(ds):
+    """The σ-heavy chain's object twin: ``a_select`` over each decoded
+    extent and the reference ``associate`` above, operands built once —
+    the way :func:`kernel_cases` builds its object twins.  Returns
+    ``(thunk, extents)``; a plain function so ``report.py`` times the
+    same path."""
+    graph = ds.graph
+    preds = sigma_predicates(ds.rare_value)
+    extents = {cls: AssociationSet.of_inners(graph.extent(cls)) for cls in preds}
+    a01 = ds.schema.resolve("V0", "V1")
+    a12 = ds.schema.resolve("V1", "V2")
+
+    def run():
+        v0, v1, v2 = (a_select(extents[c], preds[c], graph) for c in preds)
+        return associate(associate(v0, v1, graph, a01), v2, graph, a12)
+
+    return run, extents
 
 
 def test_object_select_sigma_chain(benchmark, sigma_chain):
-    expr = sigma_query(sigma_chain.rare_value)
-    executor = Executor(sigma_chain.graph)
-    _run_object_select(executor, expr)
-    result = benchmark(lambda: _run_object_select(executor, expr))
-    assert result == expr.evaluate(sigma_chain.graph)
+    run, _ = object_sigma_chain(sigma_chain)
+    result = benchmark(run)
+    assert result == sigma_query(sigma_chain.rare_value).evaluate(sigma_chain.graph)
 
 
 def test_compiled_select_speedup_on_sigma_heavy_chain(sigma_chain):
     """Acceptance gate: compiled column masks buy ≥2× over the object σ
-    path on the σ-heavy chain, plans uncached on both sides."""
+    path on the σ-heavy chain, the executor's plans uncached."""
     expr = sigma_query(sigma_chain.rare_value)
     reference = expr.evaluate(sigma_chain.graph)
     executor = Executor(sigma_chain.graph)
+    run_object, _ = object_sigma_chain(sigma_chain)
     # warm the arena / columns and verify both paths match the reference
     assert executor.run(expr, use_cache=False) == reference
-    assert _run_object_select(executor, expr) == reference
+    assert run_object() == reference
     compiled_s = _median_seconds(lambda: executor.run(expr, use_cache=False))
-    object_s = _median_seconds(lambda: _run_object_select(executor, expr))
+    object_s = _median_seconds(run_object)
     speedup = object_s / compiled_s
     assert speedup >= 2.0, f"compiled-select speedup only {speedup:.1f}x"
 
 
 def test_compiled_select_never_slower(sigma_chain):
     """Acceptance gate: on pure σ-over-extent queries every compiled
-    predicate shape is at least as fast as the object path (25% slack
-    absorbs timer noise on sub-millisecond runs)."""
-    executor = Executor(sigma_chain.graph)
+    predicate shape is at least as fast as ``a_select`` over the decoded
+    extent (25% slack absorbs timer noise on sub-millisecond runs)."""
+    graph = sigma_chain.graph
+    executor = Executor(graph)
+    _, extents = object_sigma_chain(sigma_chain)
     for cls, predicate in sigma_predicates(sigma_chain.rare_value).items():
         expr = Select(ref(cls), predicate)
-        reference = expr.evaluate(sigma_chain.graph)
+        reference = expr.evaluate(graph)
         assert executor.run(expr, use_cache=False) == reference
-        assert _run_object_select(executor, expr) == reference
         compiled_s = _median_seconds(lambda: executor.run(expr, use_cache=False))
-        object_s = _median_seconds(lambda: _run_object_select(executor, expr))
+        object_s = _median_seconds(lambda: a_select(extents[cls], predicate, graph))
         assert compiled_s <= object_s * 1.25, (
             f"compiled σ slower than object path on {cls}: "
             f"{compiled_s * 1e3:.3f}ms vs {object_s * 1e3:.3f}ms"

@@ -3,8 +3,8 @@
 Runs every experiment family directly (no pytest) and prints markdown
 tables: figure exactness, law spot-checks, the relational comparison, the
 scaling sweeps, the heterogeneity comparison, the Figure 10
-alternatives, and the per-operator timings (micro + macro + the
-compact-vs-indexed executor comparison).
+alternatives, and the per-operator timings (micro + macro + compiled σ,
+the scan_cold kernels and sharded serving against their baselines).
 
 Usage:
     python benchmarks/report.py           # full run (~1 min)
@@ -321,7 +321,7 @@ def report_observability(quick: bool) -> None:
 
 
 # ----------------------------------------------------------------------
-# E. per-operator timings (micro + macro + compact vs indexed)
+# E. per-operator timings (micro + macro + kernels vs object twins)
 # ----------------------------------------------------------------------
 
 
@@ -335,6 +335,7 @@ def operator_sections(quick: bool) -> dict:
         _macro_query,
         fig8_operand_sets,
         kernel_cases,
+        object_sigma_chain,
         sigma_query,
     )
 
@@ -404,14 +405,6 @@ def operator_sections(quick: bool) -> dict:
     }
 
     expr = _macro_query()
-    compact = Executor(graph)
-    indexed = Executor(graph, compact=False)
-    # warm the arena / indexes and check the two executors agree
-    assert compact.run(expr, use_cache=False) == indexed.run(
-        expr, use_cache=False
-    )
-    compact_stats = sampled(lambda: compact.run(expr, use_cache=False), 3)
-    indexed_stats = sampled(lambda: indexed.run(expr, use_cache=False), 3)
 
     # Sharded scatter-gather on the same macro query, at serving scale:
     # the steady-state latency of `Database.query(shards=N)` (worker
@@ -451,11 +444,9 @@ def operator_sections(quick: bool) -> dict:
     )
     sigma_expr = sigma_query(sigma_ds.rare_value)
     sigma_exec = Executor(sigma_ds.graph)
-    # warm the arena / columns and check the two σ paths agree
-    def run_object_select():
-        plan = sigma_exec.plan(sigma_expr, compiled_select=False)
-        return sigma_exec.run(sigma_expr, use_cache=False, plan=plan)
-
+    # the object twin: a_select over the decoded extents, the reference
+    # associate above; warm the arena / columns and check the paths agree
+    run_object_select, _ = object_sigma_chain(sigma_ds)
     assert sigma_exec.run(sigma_expr, use_cache=False) == run_object_select()
     compiled_stats = sampled(
         lambda: sigma_exec.run(sigma_expr, use_cache=False), repeat
@@ -482,15 +473,6 @@ def operator_sections(quick: bool) -> dict:
         "chain_macro": {
             "extent_size": extent,
             "operators": chain_macro,
-        },
-        "compact_vs_indexed": {
-            "query": str(expr),
-            "extent_size": extent,
-            "compact": compact_stats,
-            "indexed": indexed_stats,
-            "speedup_median": round(
-                indexed_stats["median_ms"] / compact_stats["median_ms"], 2
-            ),
         },
         "sharded_chain": {
             "query": str(expr),
@@ -606,16 +588,9 @@ def report_operators(sections: dict) -> None:
         header,
         _stat_rows(macro["operators"]),
     )
-    cvi = sections["compact_vs_indexed"]
-    table(
-        f"E.3 compact vs indexed executor (extent {cvi['extent_size']}; ms)",
-        ["executor", "median ms", "p95 ms", "samples"],
-        _stat_rows({"compact": cvi["compact"], "indexed": cvi["indexed"]}),
-    )
-    print(f"\ncompact speedup over indexed: {cvi['speedup_median']}x")
     sigma = sections["sigma_compiled_vs_object"]
     table(
-        f"E.4 compiled vs object σ (valued chain, extent"
+        f"E.3 compiled vs object σ (valued chain, extent"
         f" {sigma['extent_size']}; ms)",
         ["σ path", "median ms", "p95 ms", "samples"],
         _stat_rows({"compiled": sigma["compiled"], "object": sigma["object"]}),
@@ -623,7 +598,7 @@ def report_operators(sections: dict) -> None:
     print(f"\ncompiled-σ speedup over object path: {sigma['speedup_median']}x")
     scan = sections["scan_kernels_vs_object"]
     table(
-        f"E.5 scan_cold kernels vs object operators (valued chain, extent"
+        f"E.4 scan_cold kernels vs object operators (valued chain, extent"
         f" {scan['extent_size']}; median ms)",
         ["kernel", "kernel ms", "object ms", "speedup"],
         [
@@ -638,7 +613,7 @@ def report_operators(sections: dict) -> None:
     )
     sharded = sections["sharded_chain"]
     table(
-        f"E.6 sharded scatter-gather (extent {sharded['extent_size']},"
+        f"E.5 sharded scatter-gather (extent {sharded['extent_size']},"
         f" {sharded['workers']} workers; ms)",
         ["path", "median ms", "p95 ms", "samples"],
         _stat_rows(

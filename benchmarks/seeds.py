@@ -14,7 +14,7 @@ SCALED_UNI_SEED = 11
 FIG10_SEED = 7
 
 # chain_dataset(n_classes=4, extent_size=200, density=0.05) — the largest
-# datagen scale; the indexed-vs-naive and compact-vs-indexed gates run here
+# datagen scale; the indexed-vs-naive gate runs here
 CHAIN_SEED = 5
 
 # report.py sweep sections

@@ -136,8 +136,20 @@ class Expr(ABC):
     kind: OperatorKind = OperatorKind.OTHER
 
     @abstractmethod
+    def _apply(
+        self, operands: tuple[AssociationSet, ...], graph: ObjectGraph
+    ) -> AssociationSet:
+        """This node's own reference step over its evaluated children.
+
+        ``operands`` holds one association-set per :meth:`children` entry,
+        in order.  :meth:`evaluate` and the physical planner's object
+        island both run an operator through here, so the per-operator
+        dispatch onto :mod:`repro.core.operators` exists exactly once.
+        """
+
     def _evaluate(self, graph: ObjectGraph, trace: Tracer | None) -> AssociationSet:
-        """Operator-specific evaluation (children already handled)."""
+        operands = tuple(child.evaluate(graph, trace) for child in self.children())
+        return self._apply(operands, graph)
 
     def evaluate(
         self, graph: ObjectGraph, trace: Tracer | None = None
@@ -242,7 +254,7 @@ class ClassExtent(Expr):
     def __init__(self, name: str) -> None:
         self.name = name
 
-    def _evaluate(self, graph: ObjectGraph, trace: Tracer | None) -> AssociationSet:
+    def _apply(self, operands, graph: ObjectGraph) -> AssociationSet:
         return AssociationSet.of_inners(graph.extent(self.name))
 
     @property
@@ -295,7 +307,7 @@ class Literal(Expr):
     def tail_class(self) -> str | None:
         return self._tail
 
-    def _evaluate(self, graph: ObjectGraph, trace: Tracer | None) -> AssociationSet:
+    def _apply(self, operands, graph: ObjectGraph) -> AssociationSet:
         return self.value
 
     def __str__(self) -> str:
@@ -320,6 +332,10 @@ class _BinaryGraphOp(Expr):
 
     def children(self) -> tuple[Expr, ...]:
         return (self.left, self.right)
+
+    def _apply(self, operands, graph: ObjectGraph) -> AssociationSet:
+        assoc, a_cls, b_cls = self.resolve(graph)
+        return self.operator(*operands, graph, assoc, a_cls, b_cls)
 
     def resolve(self, graph: ObjectGraph) -> tuple[Association, str, str]:
         """Resolve the association and orientation this node operates over.
@@ -374,16 +390,7 @@ class Associate(_BinaryGraphOp):
     symbol = "*"
     kind = OperatorKind.ASSOCIATE
 
-    def _evaluate(self, graph: ObjectGraph, trace: Tracer | None) -> AssociationSet:
-        assoc, a_cls, b_cls = self.resolve(graph)
-        return associate(
-            self.left.evaluate(graph, trace),
-            self.right.evaluate(graph, trace),
-            graph,
-            assoc,
-            a_cls,
-            b_cls,
-        )
+    operator = staticmethod(associate)
 
 
 class Complement(_BinaryGraphOp):
@@ -392,16 +399,7 @@ class Complement(_BinaryGraphOp):
     symbol = "|"
     kind = OperatorKind.COMPLEMENT
 
-    def _evaluate(self, graph: ObjectGraph, trace: Tracer | None) -> AssociationSet:
-        assoc, a_cls, b_cls = self.resolve(graph)
-        return a_complement(
-            self.left.evaluate(graph, trace),
-            self.right.evaluate(graph, trace),
-            graph,
-            assoc,
-            a_cls,
-            b_cls,
-        )
+    operator = staticmethod(a_complement)
 
 
 class NonAssociate(_BinaryGraphOp):
@@ -410,16 +408,7 @@ class NonAssociate(_BinaryGraphOp):
     symbol = "!"
     kind = OperatorKind.NON_ASSOCIATE
 
-    def _evaluate(self, graph: ObjectGraph, trace: Tracer | None) -> AssociationSet:
-        assoc, a_cls, b_cls = self.resolve(graph)
-        return non_associate(
-            self.left.evaluate(graph, trace),
-            self.right.evaluate(graph, trace),
-            graph,
-            assoc,
-            a_cls,
-            b_cls,
-        )
+    operator = staticmethod(non_associate)
 
 
 class Intersect(Expr):
@@ -437,12 +426,10 @@ class Intersect(Expr):
     def children(self) -> tuple[Expr, ...]:
         return (self.left, self.right)
 
-    def _evaluate(self, graph: ObjectGraph, trace: Tracer | None) -> AssociationSet:
-        return a_intersect(
-            self.left.evaluate(graph, trace),
-            self.right.evaluate(graph, trace),
-            self.classes,
-        )
+    operator = staticmethod(a_intersect)
+
+    def _apply(self, operands, graph: ObjectGraph) -> AssociationSet:
+        return self.operator(*operands, self.classes)
 
     @property
     def head_class(self) -> str | None:
@@ -480,10 +467,10 @@ class Union(Expr):
     def children(self) -> tuple[Expr, ...]:
         return (self.left, self.right)
 
-    def _evaluate(self, graph: ObjectGraph, trace: Tracer | None) -> AssociationSet:
-        return a_union(
-            self.left.evaluate(graph, trace), self.right.evaluate(graph, trace)
-        )
+    operator = staticmethod(a_union)
+
+    def _apply(self, operands, graph: ObjectGraph) -> AssociationSet:
+        return self.operator(*operands)
 
     @property
     def head_class(self) -> str | None:
@@ -521,10 +508,10 @@ class Difference(Expr):
     def children(self) -> tuple[Expr, ...]:
         return (self.left, self.right)
 
-    def _evaluate(self, graph: ObjectGraph, trace: Tracer | None) -> AssociationSet:
-        return a_difference(
-            self.left.evaluate(graph, trace), self.right.evaluate(graph, trace)
-        )
+    operator = staticmethod(a_difference)
+
+    def _apply(self, operands, graph: ObjectGraph) -> AssociationSet:
+        return self.operator(*operands)
 
     @property
     def head_class(self) -> str | None:
@@ -563,12 +550,10 @@ class Divide(Expr):
     def children(self) -> tuple[Expr, ...]:
         return (self.left, self.right)
 
-    def _evaluate(self, graph: ObjectGraph, trace: Tracer | None) -> AssociationSet:
-        return a_divide(
-            self.left.evaluate(graph, trace),
-            self.right.evaluate(graph, trace),
-            self.classes,
-        )
+    operator = staticmethod(a_divide)
+
+    def _apply(self, operands, graph: ObjectGraph) -> AssociationSet:
+        return self.operator(*operands, self.classes)
 
     @property
     def head_class(self) -> str | None:
@@ -606,8 +591,10 @@ class Select(Expr):
     def children(self) -> tuple[Expr, ...]:
         return (self.operand,)
 
-    def _evaluate(self, graph: ObjectGraph, trace: Tracer | None) -> AssociationSet:
-        return a_select(self.operand.evaluate(graph, trace), self.predicate, graph)
+    operator = staticmethod(a_select)
+
+    def _apply(self, operands, graph: ObjectGraph) -> AssociationSet:
+        return self.operator(*operands, self.predicate, graph)
 
     @property
     def head_class(self) -> str | None:
@@ -651,8 +638,10 @@ class Project(Expr):
     def children(self) -> tuple[Expr, ...]:
         return (self.operand,)
 
-    def _evaluate(self, graph: ObjectGraph, trace: Tracer | None) -> AssociationSet:
-        return a_project(self.operand.evaluate(graph, trace), self.templates, self.links)
+    operator = staticmethod(a_project)
+
+    def _apply(self, operands, graph: ObjectGraph) -> AssociationSet:
+        return self.operator(*operands, self.templates, self.links)
 
     def __str__(self) -> str:
         e_part = ", ".join(str(t) for t in self.templates)

@@ -638,7 +638,6 @@ class Database:
         trace: Tracer | None = None,
         explain: bool = False,
         use_cache: bool = True,
-        compact: bool | None = None,
         optimize: bool = False,
         shards: int | None = None,
         shard_strategy: str | None = None,
@@ -648,10 +647,8 @@ class Database:
         ``q`` is an algebra :class:`Expr` or OQL text (compiled on the
         fly).  ``trace`` accepts any :class:`~repro.obs.span.Tracer` to
         record the evaluation's span tree.  ``use_cache=False`` bypasses
-        the sub-plan cache (reads *and* writes); ``compact`` overrides the
-        planner's compact-kernel setting for this call (``False`` forces
-        the reference strategies).  With ``explain=True`` the evaluation
-        runs under EXPLAIN ANALYZE — the report lands on
+        the sub-plan cache (reads *and* writes).  With ``explain=True`` the
+        evaluation runs under EXPLAIN ANALYZE — the report lands on
         ``QueryResult.report``, the cache is bypassed so every plan node
         truly executes, and ``trace`` is ignored (the report owns the
         span tree).
@@ -702,7 +699,7 @@ class Database:
                     dist_plan, trace=trace, use_cache=use_cache
                 )
             else:
-                plan = self.executor.plan(plan_expr, compact=compact)
+                plan = self.executor.plan(plan_expr)
                 strategy = plan.strategy
                 result = self.executor.run(
                     plan_expr, trace=trace, use_cache=use_cache, plan=plan

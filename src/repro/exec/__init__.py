@@ -1,8 +1,7 @@
 """Physical execution layer for the A-algebra engine.
 
 Separates logical :class:`~repro.core.expression.Expr` trees from the
-physical plans that evaluate them: incrementally maintained access
-structures (:mod:`repro.exec.indexes`), a mutation-invalidated sub-plan
+physical plans that evaluate them: a mutation-invalidated sub-plan
 cache (:mod:`repro.exec.cache`), strategy-annotated operator trees
 (:mod:`repro.exec.physical`), an integer-interning pattern arena with
 batch kernels (:mod:`repro.exec.arena`, :mod:`repro.exec.kernels`), a
@@ -16,8 +15,7 @@ from repro.exec.arena import CompactSet, PatternArena
 from repro.exec.cache import PlanCache, PlanEntry, canonicalize, expr_dependencies
 from repro.exec.columns import ColumnStore, compile_select, compiled_select_probe
 from repro.exec.executor import Executor
-from repro.exec.indexes import IndexManager
-from repro.exec.physical import CompactNode, ExecContext, PhysicalNode, PhysicalPlanner
+from repro.exec.physical import CompactNode, ExecContext, ObjectIsland, PhysicalPlanner
 
 __all__ = [
     "ColumnStore",
@@ -25,9 +23,8 @@ __all__ = [
     "CompactSet",
     "ExecContext",
     "Executor",
-    "IndexManager",
     "PatternArena",
-    "PhysicalNode",
+    "ObjectIsland",
     "PhysicalPlanner",
     "PlanCache",
     "PlanEntry",

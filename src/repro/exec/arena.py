@@ -27,9 +27,9 @@ Maintenance
 The arena is **append-only**: ids are never reused, so compact sets held
 by the :class:`~repro.exec.cache.PlanCache` stay valid across unrelated
 mutations.  Derived caches (compact extents, per-association adjacency,
-compact edge-pattern sets) are maintained incrementally from the same
-mutation events :class:`~repro.exec.indexes.IndexManager` consumes, and
-the same graph-version guard applies: the owning executor calls
+compact edge-pattern sets) are maintained incrementally from the
+mutation events the owning :class:`~repro.exec.executor.Executor`
+forwards, under the graph-version guard: the executor calls
 :meth:`reset` when an out-of-band write is detected, which drops the
 interning tables entirely (the executor clears the plan cache in the
 same breath, so no stale ids can survive).
@@ -428,8 +428,7 @@ class PatternArena:
     def apply(self, event) -> None:
         """Fold one mutation event into the derived compact structures.
 
-        Mirrors :meth:`IndexManager.apply` decision for decision: extents
-        patch in place; link/unlink patch the association's adjacency,
+        Extents patch in place; link/unlink patch the association's adjacency,
         masks, and edge set when cached; deletes and multi-class inserts
         drop the association caches of the touched classes.  The interning
         tables never shrink — ids of deleted instances simply fall out of

@@ -1,22 +1,25 @@
 """The physical execution engine: planning and caching.
 
 One :class:`Executor` serves one :class:`~repro.objects.graph.ObjectGraph`.
-It owns the derived state the physical layer runs on — an
-:class:`~repro.exec.indexes.IndexManager` and a
+It owns the derived state the physical layer runs on — a
+:class:`~repro.exec.arena.PatternArena` (interning tables, compact
+extents and adjacency, typed columns) and a
 :class:`~repro.exec.cache.PlanCache` — and keeps both honest through two
 channels:
 
 * :meth:`on_mutation` — the :class:`~repro.engine.database.Database`
-  forwards every mutation event; indexes update incrementally, cache
-  entries depending on the touched classes are dropped;
+  forwards every mutation event; the arena patches its derived
+  structures incrementally, cache entries depending on the touched
+  classes are dropped;
 * the graph's ``version`` counter — a mutation that bypassed the event
   stream (direct graph access) leaves ``version`` ahead of what the
   events explained, and the next :meth:`run` rebuilds everything from
   scratch rather than serve stale results.
 
-The logical evaluator remains the semantic reference; the executor is
-an accelerator whose results are verified identical in the property
-tests (``tests/properties/test_physical_equivalence.py``).
+The logical evaluator (:meth:`~repro.core.expression.Expr.evaluate`)
+remains the semantic reference; every plan the executor runs is
+verified identical to it in the property tests
+(``tests/properties/test_physical_equivalence.py`` and its siblings).
 """
 
 from __future__ import annotations
@@ -25,8 +28,7 @@ from repro.core.assoc_set import AssociationSet
 from repro.core.expression import Expr
 from repro.exec.arena import PatternArena
 from repro.exec.cache import PlanCache
-from repro.exec.indexes import IndexManager
-from repro.exec.physical import ExecContext, PhysicalNode, PhysicalPlanner
+from repro.exec.physical import CompactNode, ExecContext, PhysicalPlanner
 from repro.objects.graph import ObjectGraph
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.span import Tracer
@@ -41,21 +43,16 @@ class Executor:
         self,
         graph: ObjectGraph,
         metrics: MetricsRegistry | None = None,
-        compact: bool = True,
         stats=None,
-        compiled_select: bool = True,
     ) -> None:
         self.graph = graph
         self.metrics = metrics
         # Optional StatisticsCatalog: fed the same mutation events as the
-        # indexes, and its FeedbackStore collects actual cardinalities.
+        # arena, and its FeedbackStore collects actual cardinalities.
         self.stats = stats
-        self.indexes = IndexManager(graph)
         self.arena = PatternArena(graph, metrics)
         self.cache = PlanCache(metrics)
-        self.planner = PhysicalPlanner(
-            graph, metrics, compact=compact, compiled_select=compiled_select
-        )
+        self.planner = PhysicalPlanner(graph, metrics)
         # The stats catalog's histogram/distinct builders scan columns
         # instead of objects once a class's column is materialized.
         if stats is not None and hasattr(stats, "attach_columns"):
@@ -64,7 +61,7 @@ class Executor:
         if metrics is not None:
             self._m_resets = metrics.counter(
                 "repro_executor_resets_total",
-                "Full index/cache rebuilds forced by out-of-band mutations",
+                "Full arena/cache rebuilds forced by out-of-band mutations",
             )
 
     # ------------------------------------------------------------------
@@ -72,7 +69,7 @@ class Executor:
     # ------------------------------------------------------------------
 
     def on_mutation(self, event, pre_version: int | None = None) -> int:
-        """Fold one mutation event into indexes, arena, and cache.
+        """Fold one mutation event into the arena and the cache.
 
         ``pre_version`` is the graph version the caller observed before
         applying the mutation, when it can vouch for one.  A mismatch
@@ -85,7 +82,6 @@ class Executor:
         database's event log records non-zero counts).
         """
         if pre_version is not None and pre_version != self._synced_version:
-            self.indexes.reset()
             self.arena.reset()
             self.cache.clear()
             if self.stats is not None:
@@ -94,7 +90,6 @@ class Executor:
             if self.metrics is not None:
                 self._m_resets.inc()
             return 0
-        self.indexes.apply(event)
         self.arena.apply(event)
         # Per-kind delta classification: attribute-only updates invalidate
         # against each entry's value-dependency set, so plans that touch
@@ -115,7 +110,6 @@ class Executor:
         the re-interned arena can never be read through stale ids.
         """
         if self.graph.version != self._synced_version:
-            self.indexes.reset()
             self.arena.reset()
             self.cache.clear()
             if self.stats is not None:
@@ -128,21 +122,10 @@ class Executor:
     # execution
     # ------------------------------------------------------------------
 
-    def plan(
-        self,
-        expr: Expr,
-        compact: bool | None = None,
-        compiled_select: bool | None = None,
-    ) -> PhysicalNode:
-        """The physical plan the executor would run for ``expr``.
-
-        ``compact`` / ``compiled_select`` override the planner's settings
-        for this call only (``None`` keeps the constructor's defaults).
-        """
+    def plan(self, expr: Expr) -> CompactNode:
+        """The physical plan the executor would run for ``expr``."""
         self.refresh()
-        return self.planner.plan(
-            expr, compact=compact, compiled_select=compiled_select
-        )
+        return self.planner.plan(expr)
 
     def run(
         self,
@@ -150,28 +133,26 @@ class Executor:
         *,
         trace: Tracer | None = None,
         use_cache: bool = True,
-        plan: PhysicalNode | None = None,
+        plan: CompactNode | None = None,
     ) -> AssociationSet:
         """Evaluate ``expr`` through its physical plan.
 
         A caller that already holds the plan (from :meth:`plan`, e.g. to
         read its root strategy) passes it back via ``plan`` and skips
         replanning; the plan must come from this executor *after* its
-        last refresh.  Per-call planner overrides (``compact``,
-        ``compiled_select``) go through :meth:`plan` the same way.
+        last refresh.
         """
         if plan is None:
             self.refresh()
             plan = self.planner.plan(expr)
         ctx = ExecContext(
             self.graph,
-            self.indexes,
             self.cache,
             use_cache,
-            arena=self.arena,
-            feedback=self.stats.feedback if self.stats is not None else None,
+            self.arena,
+            self.stats.feedback if self.stats is not None else None,
         )
         return plan.execute(ctx, trace)
 
     def __str__(self) -> str:
-        return f"Executor({self.indexes}, {self.cache})"
+        return f"Executor({self.arena}, {self.cache})"

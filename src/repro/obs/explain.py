@@ -41,8 +41,9 @@ class ExplainNode:
     seconds: float
     self_seconds: float
     children: tuple["ExplainNode", ...] = ()
-    #: Physical strategy the executor chose ("edge-scan", "index-join",
-    #: ...); None when the naive logical evaluator produced the trace.
+    #: Physical strategy the executor chose ("compact-kernel",
+    #: "object-island", ...); None when the naive logical evaluator
+    #: produced the trace.
     strategy: str | None = None
     #: Where the estimate came from ("exact", "histogram", "feedback",
     #: "uniform"); None for reports built before sources were tracked.

@@ -12,8 +12,8 @@ knowledge sources the :class:`~repro.optimizer.cost.CostModel` consumes:
   for both the regular and the complement fan-out — not just means).
   Populated by :meth:`StatisticsCatalog.analyze` (full scan, or sampled
   with ``sample=N``), kept fresh incrementally from the same mutation
-  events that :class:`~repro.exec.indexes.IndexManager` consumes, and
-  stamped with a monotonically increasing ``version``.
+  events the executor's :class:`~repro.exec.arena.PatternArena` consumes,
+  and stamped with a monotonically increasing ``version``.
 
 * :class:`FeedbackStore` — actual cardinalities per canonical sub-plan,
   recorded by the executor as queries run (the numbers ``EXPLAIN

@@ -172,7 +172,6 @@ class ServerClient:
         explain: bool = False,
         trace: bool = False,
         trace_stamp: bool = False,
-        compact: bool | None = None,
         use_cache: bool = True,
         timeout: float | None = None,
         page_size: int | None = None,
@@ -199,8 +198,6 @@ class ServerClient:
         }
         if values_of:
             request["values_of"] = list(values_of)
-        if compact is not None:
-            request["compact"] = compact
         if timeout is not None:
             request["timeout"] = timeout
         if page_size is not None:

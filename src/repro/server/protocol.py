@@ -24,7 +24,6 @@ A request is a JSON object with an ``op`` field::
                     "values_of": ["SS#"],      # optional value retrieval
                     "explain": false,          # EXPLAIN ANALYZE text
                     "trace": false,            # span-tree export
-                    "compact": null,           # kernel strategy override
                     "use_cache": true,
                     "timeout": 5.0,            # per-request deadline (s)
                     "page_size": 500}          # result paging

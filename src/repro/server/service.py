@@ -731,6 +731,12 @@ class QueryService:
             self._count("query", "error")
             return error_response("bad_request", f"bad timeout {deadline!r}")
         deadline = min(max(deadline, 0.001), self.config.max_deadline)
+        page_size = request.get("page_size")
+        try:
+            page_size = max(1, int(page_size or self.config.page_size))
+        except (TypeError, ValueError, OverflowError):
+            self._count("query", "error")
+            return error_response("bad_request", f"bad page_size {page_size!r}")
         expires = time.monotonic() + deadline
         trace_id = _trace_id_of(request)
         received = time.perf_counter()
@@ -781,7 +787,14 @@ class QueryService:
         self._m_inflight.inc()
         assert self._loop is not None
         future = self._loop.run_in_executor(
-            self._pool, self._execute_query, session, text, request, received, admitted
+            self._pool,
+            self._execute_query,
+            session,
+            text,
+            request,
+            page_size,
+            received,
+            admitted,
         )
 
         def _release(_):
@@ -818,10 +831,13 @@ class QueryService:
         session: Session,
         text: str,
         request: dict[str, Any],
+        page_size: int,
         received: float | None = None,
         admitted: float | None = None,
     ) -> dict[str, Any]:
         """Engine work, on a worker thread.  Returns a response frame.
+
+        ``page_size`` is the request's, already validated by the caller.
 
         ``received``/``admitted`` are the loop's ``perf_counter`` stamps
         at frame receipt and slot acquisition; the traced
@@ -833,7 +849,6 @@ class QueryService:
         db = session.database
         explain = bool(request.get("explain", False))
         want_trace = bool(request.get("trace", False))
-        compact = request.get("compact")
         use_cache = bool(request.get("use_cache", True))
         trace_ctx = request.get("trace_ctx")
         trace_ctx = trace_ctx if isinstance(trace_ctx, dict) else {}
@@ -867,21 +882,17 @@ class QueryService:
                     text,
                     trace=tracer,
                     explain=explain,
-                    compact=compact if isinstance(compact, bool) else None,
                     use_cache=use_cache,
                 )
         else:
             result = db.query(
                 text,
                 explain=explain,
-                compact=compact if isinstance(compact, bool) else None,
                 use_cache=use_cache,
             )
         finished = time.perf_counter()
         elapsed_ms = (finished - started) * 1e3
 
-        page_size = int(request.get("page_size") or self.config.page_size)
-        page_size = max(1, page_size)
         encoded = self._encoded(result.set, page_size if use_cache else None)
         queue_wait_ms = (
             (admitted - received) * 1e3

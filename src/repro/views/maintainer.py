@@ -106,13 +106,10 @@ from repro.core.expression import (
     Union,
 )
 from repro.core.operators import (
-    a_complement,
     a_difference,
-    a_divide,
     a_intersect,
     a_project,
     associate,
-    non_associate,
 )
 from repro.core.operators.complement import complement_join
 from repro.core.pattern import Pattern
@@ -197,7 +194,10 @@ class _Node:
         """Resolve graph-dependent bindings (association ends)."""
 
     def _evaluate(self, graph: "ObjectGraph") -> frozenset[Pattern]:
-        raise NotImplementedError
+        """The operator over the children's materializations — the same
+        reference step :meth:`Expr.evaluate` runs."""
+        operands = tuple(child.as_set() for child in self.children)
+        return self.expr._apply(operands, graph).patterns
 
     # -- the anchor index -----------------------------------------------
 
@@ -309,9 +309,6 @@ class _ExtentNode(_Node):
         super().__init__(expr, ())
         self.cls = expr.name
 
-    def _evaluate(self, graph):
-        return frozenset(Pattern.inner(i) for i in graph.extent(self.cls))
-
     def _delta(self, ctx, graph, deltas, recomputes):
         if ctx.kind == "insert":
             added = frozenset(
@@ -337,12 +334,6 @@ class _SelectNode(_Node):
         self.pred_classes = predicate_classes(expr.predicate)
         self.opaque = "*" in self.pred_classes
 
-    def _evaluate(self, graph):
-        pred = self.predicate
-        return frozenset(
-            p for p in self.children[0]._out if pred.evaluate(p, graph)
-        )
-
     def _delta(self, ctx, graph, deltas, recomputes):
         if self.opaque:
             return self._recompute(graph, "opaque-predicate", recomputes)
@@ -365,9 +356,6 @@ class _SelectNode(_Node):
 
 
 class _UnionNode(_Node):
-    def _evaluate(self, graph):
-        return frozenset(self.children[0]._out | self.children[1]._out)
-
     def _delta(self, ctx, graph, deltas, recomputes):
         left, right = self.children
         dl, dr = deltas
@@ -462,9 +450,6 @@ class _BinaryGraphNode(_Node):
 
 
 class _AssociateNode(_BinaryGraphNode):
-    def _evaluate(self, graph):
-        return self._join(self.children[0].as_set(), self.children[1].as_set(), graph)
-
     def _join(self, alpha, beta, graph):
         return associate(
             alpha, beta, graph, self.assoc, self.a_cls, self.b_cls
@@ -477,11 +462,6 @@ class _IntersectNode(_Node):
     def __init__(self, expr: Intersect, children) -> None:
         super().__init__(expr, children)
         self.classes = expr.classes
-
-    def _evaluate(self, graph):
-        return a_intersect(
-            self.children[0].as_set(), self.children[1].as_set(), self.classes
-        ).patterns
 
     def _delta(self, ctx, graph, deltas, recomputes):
         dl, dr = deltas
@@ -524,11 +504,6 @@ class _IntersectNode(_Node):
 
 
 class _DifferenceNode(_Node):
-    def _evaluate(self, graph):
-        return a_difference(
-            self.children[0].as_set(), self.children[1].as_set()
-        ).patterns
-
     def _delta(self, ctx, graph, deltas, recomputes):
         dl, dr = deltas
         if dr.removed:
@@ -559,11 +534,6 @@ class _ProjectNode(_Node):
         super().__init__(expr, children)
         self.templates = expr.templates
         self.links = expr.links
-
-    def _evaluate(self, graph):
-        return a_project(
-            self.children[0].as_set(), self.templates, self.links
-        ).patterns
 
     def _delta(self, ctx, graph, deltas, recomputes):
         (child,) = deltas
@@ -604,16 +574,6 @@ class _ComplementNode(_BinaryGraphNode):
         left, right = self.children
         return left.holds_class(self.a_cls) and right.holds_class(self.b_cls)
 
-    def _evaluate(self, graph):
-        return a_complement(
-            self.children[0].as_set(),
-            self.children[1].as_set(),
-            graph,
-            self.assoc,
-            self.a_cls,
-            self.b_cls,
-        ).patterns
-
     def _join(self, alpha, beta, graph):
         return complement_join(
             alpha, beta, graph, self.assoc, self.a_cls, self.b_cls
@@ -637,16 +597,6 @@ class _NonAssociateNode(_BinaryGraphNode):
     scoped recompute gated on a relevance test.
     """
 
-    def _evaluate(self, graph):
-        return non_associate(
-            self.children[0].as_set(),
-            self.children[1].as_set(),
-            graph,
-            self.assoc,
-            self.a_cls,
-            self.b_cls,
-        ).patterns
-
     def _delta(self, ctx, graph, deltas, recomputes):
         if any(deltas) or self._relevant(ctx):
             return self._recompute(graph, "nonassociate-rescan", recomputes)
@@ -654,15 +604,6 @@ class _NonAssociateNode(_BinaryGraphNode):
 
 
 class _DivideNode(_Node):
-    def __init__(self, expr: Divide, children) -> None:
-        super().__init__(expr, children)
-        self.classes = expr.classes
-
-    def _evaluate(self, graph):
-        return a_divide(
-            self.children[0].as_set(), self.children[1].as_set(), self.classes
-        ).patterns
-
     def _delta(self, ctx, graph, deltas, recomputes):
         if any(deltas):
             # Quotients are anti-monotone in the divisor and group-wise in

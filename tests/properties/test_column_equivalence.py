@@ -1,9 +1,8 @@
 """Differential properties for the column store and compiled σ masks.
 
 Three batteries, all demanding bit-identical :class:`AssociationSet`
-results between the compiled column-mask σ path, the per-pattern object
-path (``executor.plan(expr, compiled_select=False)``), and the logical
-reference ``Expr.evaluate``:
+results between the compiled column-mask σ path and the logical
+reference ``Expr.evaluate`` (the per-pattern object path):
 
 1. randomized valued graphs × randomized predicate trees (comparisons in
    both orientations, IN-lists, and/or/not, mixed value types including
@@ -131,16 +130,16 @@ def sigma_predicates(draw, max_depth: int = 2):
     return tree(max_depth)
 
 
-def _assert_three_way(executor: Executor, graph: ObjectGraph, predicate) -> None:
-    """Compiled σ == object σ == ``evaluate`` for σ(P)[predicate]."""
+def _assert_matches_reference(
+    executor: Executor, graph: ObjectGraph, predicate
+) -> None:
+    """Compiled σ, cold and warm, == ``evaluate`` for σ(P)[predicate]."""
     expr = Select(ref("P"), predicate)
     reference = expr.evaluate(graph)
-    compiled = executor.run(expr, use_cache=False)
-    objected = executor.run(
-        expr, use_cache=False, plan=executor.plan(expr, compiled_select=False)
+    assert executor.run(expr, use_cache=False) == reference, (
+        f"compiled σ diverged on {predicate}"
     )
-    assert compiled == reference, f"compiled σ diverged on {predicate}"
-    assert objected == reference, f"object σ diverged on {predicate}"
+    assert executor.run(expr) == reference, f"cached σ diverged on {predicate}"
 
 
 # ----------------------------------------------------------------------
@@ -163,7 +162,7 @@ def test_compiled_select_matches_object_path_and_reference(data):
             "compact-select",
             "compact-kernel",
         )
-        _assert_three_way(executor, graph, predicate)
+        _assert_matches_reference(executor, graph, predicate)
 
 
 # ----------------------------------------------------------------------
@@ -184,10 +183,7 @@ def test_columns_stay_correct_across_event_driven_mutations(data):
         for predicate in predicates:
             expr = Select(ref("P"), predicate)
             assert db.query(expr, use_cache=False).set == expr.evaluate(db.graph)
-            forced = db.executor.plan(expr, compiled_select=False)
-            assert db.executor.run(
-                expr, use_cache=False, plan=forced
-            ) == expr.evaluate(db.graph)
+            assert db.query(expr).set == expr.evaluate(db.graph)
 
     # Plain-equality predicates may plan through the value index and
     # never touch the columns — materialize explicitly so the event
@@ -244,7 +240,7 @@ def test_rollback_resets_columns_through_version_guard(data):
 
     # rollback emits no events: only the version guard can save us
     db.rollback(saved)
-    _assert_three_way(db.executor, db.graph, predicate)
+    _assert_matches_reference(db.executor, db.graph, predicate)
 
 
 @given(st.data())
@@ -261,4 +257,4 @@ def test_out_of_band_value_write_resets_columns(data):
     # write straight to the graph, bypassing every event channel
     target = sorted(graph.extent("P"))[0]
     graph.set_value(target, data.draw(st.sampled_from(VALUE_POOL)))
-    _assert_three_way(executor, graph, predicate)
+    _assert_matches_reference(executor, graph, predicate)

@@ -1,14 +1,16 @@
 """Differential properties for the compact-kernel execution path.
 
-Three batteries, all demanding bit-identical :class:`AssociationSet`
-results:
+Four batteries, all demanding bit-identical :class:`AssociationSet`
+results against the reference operators of :mod:`repro.core.operators`:
 
 1. each batch kernel in :mod:`repro.exec.kernels` against its reference
    operator, round-tripped through a :class:`PatternArena`;
-2. the compact executor against the PR-2 indexed executor
-   (``compact=False``) and the logical evaluator across every execution
-   mode, over random graphs/expressions and the datagen workloads;
-3. mutation interleaving — event-driven :class:`Database` mutations that
+2. the executor against the logical evaluator ``Expr.evaluate`` across
+   every execution mode, over random graphs/expressions and the datagen
+   workloads;
+3. object islands — the shapes no kernel covers, generated under kernel
+   parents, against ``Expr.evaluate``;
+4. mutation interleaving — event-driven :class:`Database` mutations that
    patch the arena incrementally, and out-of-band graph writes that trip
    the version guard and force a full arena reset / re-intern.
 """
@@ -17,6 +19,16 @@ import hypothesis.strategies as st
 from hypothesis import HealthCheck, given, settings
 
 from repro.core.assoc_set import AssociationSet
+from repro.core.expression import (
+    AssocSpec,
+    Associate,
+    Difference,
+    Literal,
+    Project,
+    Select,
+    Union,
+    ref,
+)
 from repro.core.operators import (
     a_complement,
     a_difference,
@@ -31,6 +43,7 @@ from repro.core.operators import (
 from repro.core.operators.project import ChainTemplate
 from repro.core.predicates import (
     And,
+    Callback,
     ClassValues,
     Comparison,
     Const,
@@ -58,7 +71,13 @@ from repro.exec.kernels import (
     k_select_patterns,
     k_union,
 )
-from tests.properties.expr_strategies import expressions
+from tests.properties.expr_strategies import (
+    ADJACENT,
+    CLASSES,
+    TEMPLATES,
+    expressions,
+    predicates,
+)
 from tests.properties.strategies import object_graphs
 
 RELAXED = settings(
@@ -203,24 +222,20 @@ def test_pattern_select_kernel_matches_a_select(seed):
 
 
 # ----------------------------------------------------------------------
-# 2. compact executor vs indexed executor vs logical evaluator
+# 2. executor vs logical evaluator
 # ----------------------------------------------------------------------
 
 
 @given(st.data())
 @RELAXED
-def test_compact_executor_matches_indexed_and_reference(data):
+def test_compact_executor_matches_reference(data):
     graph = data.draw(object_graphs(max_extent=3, valued=True))
     expr = data.draw(expressions(depth=2, printable=False))
     reference = expr.evaluate(graph)
-    compact = Executor(graph)
-    indexed = Executor(graph, compact=False)
-    for label, executor in (("compact", compact), ("indexed", indexed)):
-        assert executor.run(expr) == reference, f"{label} cold diverged"
-        assert executor.run(expr) == reference, f"{label} warm diverged"
-        assert (
-            executor.run(expr, use_cache=False) == reference
-        ), f"{label} uncached diverged"
+    executor = Executor(graph)
+    assert executor.run(expr) == reference, "cold diverged"
+    assert executor.run(expr) == reference, "warm diverged"
+    assert executor.run(expr, use_cache=False) == reference, "uncached diverged"
 
 
 def test_compact_executor_matches_reference_on_datagen_workloads():
@@ -228,16 +243,67 @@ def test_compact_executor_matches_reference_on_datagen_workloads():
         chain_dataset(n_classes=5, extent_size=12, density=0.15, seed=3),
         figure10_dataset(extent_size=10, density=0.2, seed=7),
     ):
-        compact = Executor(ds.graph)
-        indexed = Executor(ds.graph, compact=False)
+        executor = Executor(ds.graph)
         for expr in workload(ds.schema, n_queries=20, max_hops=4, seed=11):
             reference = expr.evaluate(ds.graph)
-            assert compact.run(expr) == reference
-            assert indexed.run(expr, use_cache=False) == reference
+            assert executor.run(expr) == reference
+            assert executor.run(expr, use_cache=False) == reference
 
 
 # ----------------------------------------------------------------------
-# 3. mutation interleaving
+# 3. object islands under kernel parents
+# ----------------------------------------------------------------------
+
+
+def _even_vertex_count(pattern, graph):
+    return len(pattern.vertices) % 2 == 0
+
+
+#: One callback object for every draw, so equal σ nodes share cache keys.
+_CALLBACK = Callback(_even_vertex_count, "even(|V|)")
+
+
+@st.composite
+def islands(draw, graph):
+    """A generated operand wrapped in one of the three island shapes."""
+    operand = draw(expressions(depth=2, printable=False))
+    shape = draw(st.sampled_from(["callback", "linked-project", "literal-select"]))
+    if shape == "callback":
+        return Select(operand, _CALLBACK)
+    if shape == "linked-project":
+        templates = (draw(st.sampled_from(TEMPLATES)),)
+        link = draw(st.lists(st.sampled_from(CLASSES), min_size=2, max_size=3, unique=True))
+        return Project(operand, templates, (tuple(link),))
+    literal = Literal(operand.evaluate(graph))
+    return Select(literal, draw(predicates(printable=False)))
+
+
+@given(st.data())
+@RELAXED
+def test_islands_under_kernel_parents_match_reference(data):
+    graph = data.draw(object_graphs(max_extent=3, valued=True))
+    island = data.draw(islands(graph))
+    other = data.draw(expressions(depth=1, printable=False))
+    parent = data.draw(st.sampled_from(["associate", "union", "difference"]))
+    if parent == "associate":
+        (a_cls, b_cls), name = data.draw(st.sampled_from(sorted(ADJACENT.items())))
+        expr = Associate(island, ref(b_cls), AssocSpec(a_cls, b_cls, name))
+    elif parent == "union":
+        expr = Union(island, other)
+    else:
+        expr = Difference(island, other)
+    executor = Executor(graph)
+    plan = executor.plan(expr)
+    assert plan.strategy.startswith("compact-"), plan.describe()
+    assert plan.children[0].strategy == "object-island", plan.describe()
+    reference = expr.evaluate(graph)
+    assert executor.run(expr, plan=plan) == reference, "cold diverged"
+    assert executor.run(expr) == reference, "warm diverged"
+    assert executor.run(expr, use_cache=False) == reference, "uncached diverged"
+
+
+# ----------------------------------------------------------------------
+# 4. mutation interleaving
 # ----------------------------------------------------------------------
 
 

@@ -1,7 +1,7 @@
-"""Event-driven maintenance of the executor's indexes and cache.
+"""Event-driven maintenance of the executor's derived state and cache.
 
 Every :class:`MutationEvent` the Database emits must leave the
-:class:`~repro.exec.indexes.IndexManager` and the sub-plan cache exactly
+:class:`~repro.exec.arena.PatternArena` and the sub-plan cache exactly
 as a from-scratch rebuild would — answers after insert/link/unlink/delete
 always match the reference evaluator on the mutated graph.  Mutations
 that bypass the event stream are caught by the graph version guard.
@@ -13,7 +13,6 @@ from repro.core.expression import Select, ref
 from repro.core.predicates import ClassValues, Comparison, Const
 from repro.datasets import university
 from repro.engine.database import Database
-from repro.exec import IndexManager
 from tests.properties.strategies import chain_schema
 
 
@@ -106,22 +105,3 @@ class TestVersionGuard:
         db.query(ref("A"))
         resets = db.metrics.counter("repro_executor_resets_total")
         assert resets.value() == 0
-
-
-class TestIndexManagerUnit:
-    def test_extent_set_is_cached_across_reads(self, uni):
-        manager = IndexManager(uni.graph)
-        assert manager.extent_set("TA") is manager.extent_set("TA")
-
-    def test_edge_set_matches_graph_edges(self, uni):
-        manager = IndexManager(uni.graph)
-        assoc = uni.schema.resolve("TA", "Grad")
-        edge_set = manager.edge_set(assoc)
-        assert len(edge_set) == len(list(uni.graph.edges(assoc)))
-
-    def test_reset_drops_everything(self, uni):
-        manager = IndexManager(uni.graph)
-        manager.extent_set("TA")
-        manager.edge_set(uni.schema.resolve("TA", "Grad"))
-        manager.reset()
-        assert not manager._extent_sets and not manager._edge_sets

@@ -1,4 +1,4 @@
-"""Physical planning: strategy selection, plan shape, compact regions."""
+"""Physical planning: strategy selection, plan shape, object islands."""
 
 import pytest
 
@@ -7,19 +7,12 @@ from repro.core.predicates import ClassValues, Comparison, Const
 from repro.datagen import valued_chain_dataset
 from repro.datasets import university
 from repro.engine.database import Database
-from repro.exec import Executor
 from repro.obs.span import Tracer
 
 
 @pytest.fixture()
 def db():
     return Database.from_dataset(university())
-
-
-@pytest.fixture()
-def legacy(db):
-    """A PR-2-style executor with the compact-kernel path disabled."""
-    return Executor(db.graph, compact=False)
 
 
 def strategies(plan):
@@ -29,61 +22,55 @@ def strategies(plan):
 class TestStrategySelection:
     def test_bare_extent_is_extent_scan(self, db):
         plan = db.executor.plan(ref("TA"))
-        assert plan.strategy == "extent-scan"
+        assert plan.strategy == "compact-kernel"
+        assert plan.kernel == "extent"
+        assert db.query(ref("TA")).set == ref("TA").evaluate(db.graph)
 
-    def test_associate_of_two_extents_is_compact_edge_scan(self, db, legacy):
+    def test_associate_of_two_extents_is_compact_edge_scan(self, db):
         expr = ref("TA") * ref("Grad")
         plan = db.executor.plan(expr)
         assert plan.strategy == "compact-kernel"
         assert plan.kernel == "edge-scan"
         assert [c.strategy for c in plan.children] == ["compact-kernel"] * 2
-        old = legacy.plan(expr)
-        assert old.strategy == "edge-scan"
-        assert [c.strategy for c in old.children] == ["extent-scan"] * 2
+        assert [c.kernel for c in plan.children] == ["extent"] * 2
 
-    def test_deep_associate_is_compact_join(self, db, legacy):
+    def test_deep_associate_is_compact_join(self, db):
         expr = ref("TA") * ref("Grad") * ref("Student")
         plan = db.executor.plan(expr)
         assert plan.strategy == "compact-kernel"
         assert plan.kernel == "hash-join"
         assert plan.children[0].kernel == "edge-scan"
-        old = legacy.plan(expr)
-        assert old.strategy == "index-join"
-        assert old.children[0].strategy == "edge-scan"
 
-    def test_value_equality_select_uses_value_index(self, db, legacy):
+    def test_value_equality_select_uses_value_index(self, db):
         expr = Select(ref("SS#"), Comparison(ClassValues("SS#"), "=", Const(1)))
         plan = db.executor.plan(expr)
         assert plan.strategy == "compact-kernel"
         assert plan.kernel == "value-index"
-        assert legacy.plan(expr).strategy == "value-index-scan"
 
     def test_general_select_compiles_to_compact_select(self, db):
         expr = Select(ref("SS#"), Comparison(ClassValues("SS#"), ">", Const(1)))
         plan = db.executor.plan(expr)
         assert plan.strategy == "compact-select"
         assert plan.kernel == "mask-eval"
-        # forcing the object path falls back to per-pattern evaluation
-        forced = db.executor.plan(expr, compiled_select=False)
-        assert forced.strategy == "object-eval"
 
     def test_uncompilable_select_is_object_eval(self, db):
         # Apply/Callback predicates cannot lower to column masks
         from repro.core.predicates import Callback
 
-        expr = Select(ref("SS#"), Callback(lambda p, g: True))
-        assert db.executor.plan(expr).strategy == "object-eval"
+        plan = db.executor.plan(Select(ref("SS#"), Callback(lambda p, g: True)))
+        assert plan.strategy == "object-island"
+        assert plan.kernel == "a_select"
 
-    def test_unsupported_operators_keep_reference_kernels(self, db, legacy):
+    def test_unsupported_operators_keep_reference_kernels(self, db):
         linked = (ref("TA") * ref("Grad")).project(["TA", "Grad"], ["TA:Grad"])
         expr = linked + (ref("Section") ^ ref("Room#"))
-        covered = strategies(db.executor.plan(expr))
-        # A Project with path links has no kernel, which also forces the
-        # Union above it to fall back; the other subtrees still run compact.
-        assert {"project", "union", "compact-kernel"} <= covered
-        assert {"project", "free-set-scan", "union"} <= strategies(
-            legacy.plan(expr)
-        )
+        plan = db.executor.plan(expr)
+        # A Project with path links has no kernel: it alone is an island,
+        # and the Union above it stays a kernel node.
+        assert plan.label == "compact-kernel[merge-union]"
+        assert plan.children[0].label == "object-island[a_project]"
+        assert strategies(plan) == {"compact-kernel", "object-island"}
+        assert db.executor.run(expr, use_cache=False) == expr.evaluate(db.graph)
 
     def test_plan_mirrors_expression_tree(self, db):
         expr = (ref("TA") * ref("Grad")).project(["TA"])
@@ -92,11 +79,10 @@ class TestStrategySelection:
         physical = [str(node.expr) for node, _ in plan.walk()]
         assert logical == physical
 
-    def test_describe_lists_strategies(self, db, legacy):
-        expr = ref("TA") * ref("Grad")
-        assert "compact-kernel" in db.executor.plan(expr).describe()
-        text = legacy.plan(expr).describe()
-        assert "edge-scan" in text and "extent-scan" in text
+    def test_describe_lists_strategies(self, db):
+        text = db.executor.plan(ref("TA") * ref("Grad")).describe()
+        assert "compact-kernel[edge-scan]" in text
+        assert "compact-kernel[extent]" in text
 
 
 def _walk_expr(expr, depth=0):
@@ -123,8 +109,8 @@ class TestRuntimeStrategies:
     def test_explain_analyze_shows_strategy_per_node(self, db):
         report = db.query("pi(TA * Grad)[TA, Grad; TA:Grad]", explain=True).report
         text = str(report)
-        assert "via project" in text
-        assert "via compact-kernel" in text  # the TA * Grad region
+        assert "via object-island" in text
+        assert "via compact-kernel" in text  # the TA * Grad operand
         assert "via cache-hit" not in text  # explain bypasses the cache
 
     def test_explain_analyze_shows_compiled_mask_cardinality(self, db):
@@ -139,8 +125,6 @@ class TestRuntimeStrategies:
     def test_describe_shows_sigma_strategy(self, db):
         expr = Select(ref("SS#"), Comparison(ClassValues("SS#"), ">", Const(1)))
         assert "compact-select" in db.executor.plan(expr).describe()
-        forced = db.executor.plan(expr, compiled_select=False)
-        assert "object-eval" in forced.describe()
 
     def test_select_strategy_counters(self, db):
         compiled = db.metrics.counter("repro_select_compiled_total")
@@ -157,7 +141,7 @@ class TestRuntimeStrategies:
 
 
 class TestCompactRegions:
-    def test_compact_and_legacy_results_agree(self, db, legacy):
+    def test_results_agree_with_reference(self, db):
         queries = [
             ref("TA") * ref("Grad") * ref("Student"),
             ref("TA") * ref("Grad") + ref("Section") * ref("Room#"),
@@ -168,23 +152,32 @@ class TestCompactRegions:
         for expr in queries:
             reference = expr.evaluate(db.graph)
             assert db.executor.run(expr, use_cache=False) == reference
-            assert legacy.run(expr, use_cache=False) == reference
+            assert db.executor.run(expr) == reference
 
     def test_project_above_region_falls_back_but_region_stays_compact(self, db):
         plan = db.executor.plan(
             (ref("TA") * ref("Grad")).project(["TA", "Grad"], ["TA:Grad"])
         )
-        assert plan.strategy == "project"
+        assert plan.strategy == "object-island"
         assert plan.children[0].strategy == "compact-kernel"
 
     def test_fallback_counter_counts_blocked_kernel_ops(self, db):
         counter = db.metrics.counter("repro_compact_fallback_total")
         before = counter.value()
-        # Union over a linked Project operand: both are kernel-supported
-        # operators planned with reference strategies.
+        # Union over a linked Project operand: only the Project is an
+        # island.
         linked = (ref("TA") * ref("Grad")).project(["TA", "Grad"], ["TA:Grad"])
         db.executor.plan(linked + ref("TA"))
-        assert counter.value() == before + 2
+        assert counter.value() == before + 1
+
+    def test_island_span_names_the_reference_operator(self, db):
+        trace = Tracer()
+        linked = (ref("TA") * ref("Grad")).project(["TA", "Grad"], ["TA:Grad"])
+        db.query(linked + ref("TA"), trace=trace, use_cache=False)
+        islands = [
+            s for s in trace.completed if s.attributes["strategy"] == "object-island"
+        ]
+        assert [s.attributes["kernel"] for s in islands] == ["a_project"]
 
     def test_compact_interior_cache_hit_reported(self, db):
         expr = ref("TA") * ref("Grad") * ref("Student")
@@ -239,24 +232,29 @@ class TestKernelClosedPlans:
         assert fallbacks.value() == before
         reference = expr.evaluate(chain_db.graph)
         assert chain_db.query(text, use_cache=False).set == reference
-        legacy = Executor(chain_db.graph, compact=False)
-        assert not legacy.plan(expr).strategy.startswith("compact-")
 
     def test_unsupported_shapes_plan_reference_nodes(self, chain_db):
         from repro.core.predicates import Callback
+        from repro.errors import EvaluationError
 
         fallbacks = chain_db.metrics.counter("repro_compact_fallback_total")
         chain = ref("V0") * ref("V1") * ref("V2")
         before = fallbacks.value()
         callback = chain_db.executor.plan(Select(chain, Callback(lambda p, g: True)))
-        assert callback.strategy == "object-eval"
-        assert fallbacks.value() == before
+        assert callback.label == "object-island[a_select]"
+        assert callback.children[0].strategy == "compact-kernel"
         linked = chain_db.executor.plan(chain.project(["V0", "V2"], ["V0:V2"]))
-        assert linked.strategy == "project"
+        assert linked.label == "object-island[a_project]"
         assert linked.children[0].strategy == "compact-kernel"
-        assert fallbacks.value() == before + 1
         # a Union has no tail class, so the shorthand association cannot
-        # resolve: the reference join raises at run time
-        unresolvable = chain_db.executor.plan((ref("V1") + ref("V2")) * ref("V3"))
-        assert unresolvable.strategy == "index-join"
-        assert fallbacks.value() == before + 2
+        # resolve: the island raises the reference error at run time
+        expr = (ref("V1") + ref("V2")) * ref("V3")
+        unresolvable = chain_db.executor.plan(expr)
+        assert unresolvable.label == "object-island[associate]"
+        assert unresolvable.children[0].label == "compact-kernel[merge-union]"
+        assert fallbacks.value() == before + 3
+        with pytest.raises(EvaluationError) as reference:
+            expr.evaluate(chain_db.graph)
+        with pytest.raises(EvaluationError) as served:
+            chain_db.query(expr)
+        assert str(served.value) == str(reference.value)

@@ -24,20 +24,17 @@ class TestDatabaseMetrics:
         assert sum(series.count for _, series in histogram.samples()) == 2
 
     def test_query_seconds_labelled_by_strategy(self, db):
-        # TA * Grad is fully kernel-closed; a bare extent stays a scan.
+        # TA * Grad and a bare extent are kernel nodes; a Project with
+        # path links has no kernel and plans an object island.
         assert db.query("TA * Grad").strategy == "compact-kernel"
-        assert db.query(ref("TA")).strategy == "extent-scan"
-        assert db.query("TA * Grad", compact=False).strategy in (
-            "edge-scan",
-            "index-join",
-        )
+        assert db.query(ref("TA")).strategy == "compact-kernel"
+        linked = "pi(TA * Grad)[TA, Grad; TA:Grad]"
+        assert db.query(linked).strategy == "object-island"
         assert db.query("TA * Grad", explain=True).strategy == "explain"
         histogram = db.metrics.histogram("repro_query_seconds")
         strategies = {labels["strategy"] for labels, _ in histogram.samples()}
-        assert "compact-kernel" in strategies
-        assert "extent-scan" in strategies
-        assert "explain" in strategies
-        assert histogram.count(strategy="compact-kernel") == 1
+        assert strategies == {"compact-kernel", "object-island", "explain"}
+        assert histogram.count(strategy="compact-kernel") == 2
 
     def test_mutation_events_by_kind(self, db):
         created = db.insert("Person")

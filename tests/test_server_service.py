@@ -98,6 +98,20 @@ class TestBasics:
             assert client.query("TA * Grad").count == 2
         assert exc_info.value.code == "engine_error"
 
+    @pytest.mark.parametrize("page_size", ["abc", [1], {"n": 1}, float("inf")])
+    def test_malformed_page_size_is_refused_not_fatal(self, server, page_size):
+        """A bad ``page_size`` used to raise after the engine ran and close
+        the connection with no response."""
+        requests = server.service.metrics.get("repro_server_requests_total")
+        errors = requests.value(op="query", status="error")
+        with ServerClient(server.host, server.port) as client:
+            with pytest.raises(ServerError) as exc_info:
+                client._rpc({"op": "query", "q": "TA * Grad", "page_size": page_size})
+            assert exc_info.value.code == "bad_request"
+            # The same session answers the next query.
+            assert client.query("TA * Grad").count == 2
+        assert requests.value(op="query", status="error") == errors + 1
+
     def test_bad_op_is_structured(self, server):
         with ServerClient(server.host, server.port) as client:
             with pytest.raises(ServerError) as exc_info:
@@ -196,12 +210,13 @@ class TestResultEncoding:
         import gc
         import weakref
 
-        # compact=False: the set is held by its plan-cache entry alone (a
-        # compact result is also memoized by the arena until its reset).
+        # The set is held by its plan-cache entry and the arena's
+        # decoded-set memo; the mutation invalidates the one and clears
+        # the other.
         db = server.service.database("university")
         with ServerClient(server.host, server.port) as client:
-            before = client.query("TA * Grad", compact=False, page_size=1)
-            old = weakref.ref(db.query("TA * Grad", compact=False).set.wire_form)
+            before = client.query("TA * Grad", page_size=1)
+            old = weakref.ref(db.query("TA * Grad").set.wire_form)
             assert old() is not None and self._retained(server) == old().nbytes
             ta, grad = (
                 next(v for v in before.patterns[0]["vertices"] if v[0] == cls)
@@ -210,11 +225,12 @@ class TestResultEncoding:
             client.mutate([{"action": "unlink", "a": ta, "b": grad}])
             gc.collect()
             assert old() is None and self._retained(server) == 0
-            after = client.query("TA * Grad", compact=False, page_size=1)
-        assert after.count == before.count - 1
+            after = client.query("TA * Grad", page_size=1)
+        reference = db.compile("TA * Grad").evaluate(db.graph)
+        assert after.count == before.count - 1 == len(reference)
         assert after.patterns == before.patterns[1:]
         # the fresh answer fits one page: nothing is retained for it
-        assert db.query("TA * Grad", compact=False).set.wire_form is None
+        assert db.query("TA * Grad").set.wire_form is None
         assert self._retained(server) == 0
 
     def test_bypassed_queries_retain_nothing(self, server):

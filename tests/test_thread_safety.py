@@ -6,9 +6,9 @@ physical layer's lazily built derived state — the
 :class:`~repro.exec.cache.PlanCache` entry table and the
 :class:`~repro.exec.arena.PatternArena`'s interning/derived caches —
 is populated by many threads at once.  These regression tests drive
-exactly that shape: N threads issuing ``Database.query()`` with mixed
-compact/indexed strategies and cache on/off, compared pattern-for-
-pattern against a fresh serial evaluation.
+exactly that shape: N threads issuing ``Database.query()`` over kernel
+plans and object islands with the cache on and off, compared
+pattern-for-pattern against ``Expr.evaluate`` on a private database.
 """
 
 import threading
@@ -28,6 +28,7 @@ QUERIES = [
     "Section ! Room#",
     "TA * Grad + TA * Teacher",
     "sigma(GPA)[GPA > 3]",
+    "pi(TA * Grad)[TA, Grad; TA:Grad]",
 ]
 
 
@@ -37,9 +38,9 @@ def db():
 
 
 def _serial_reference(queries):
-    """Expected pattern sets from a private, single-threaded Database."""
+    """Expected pattern sets from the reference evaluator, single-threaded."""
     fresh = Database.from_dataset(university())
-    return {q: frozenset(fresh.query(q).set) for q in queries}
+    return {q: frozenset(fresh.compile(q).evaluate(fresh.graph)) for q in queries}
 
 
 def _run_threads(worker, count=THREADS):
@@ -62,13 +63,9 @@ class TestConcurrentQueries:
             out = []
             for round_no in range(ROUNDS):
                 q = QUERIES[(i + round_no) % len(QUERIES)]
-                # Vary the physical strategy and cache participation so
-                # compact-kernel, index-join, and cached paths interleave.
-                result = db.query(
-                    q,
-                    compact=(i + round_no) % 2 == 0,
-                    use_cache=round_no % 2 == 0,
-                )
+                # Vary the query and cache participation so kernel,
+                # object-island and cached paths interleave.
+                result = db.query(q, use_cache=round_no % 2 == 0)
                 out.append((q, frozenset(result.set)))
             return out
 
@@ -81,7 +78,7 @@ class TestConcurrentQueries:
         expected = _serial_reference(["TA * Grad"])["TA * Grad"]
 
         def worker(i):
-            return frozenset(db.query("TA * Grad", compact=True).set)
+            return frozenset(db.query("TA * Grad").set)
 
         for got in _run_threads(worker):
             assert got == expected
