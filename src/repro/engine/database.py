@@ -110,7 +110,8 @@ class QueryResult:
         #: the query ran under EXPLAIN ANALYZE).
         self.strategy = strategy
         #: The (possibly rewritten) expression that actually executed —
-        #: differs from ``expr`` when ``query(..., optimize=True)`` chose
+        #: differs from ``expr`` when the planner's rule pass pushed a σ
+        #: or Π below an Associate, or ``query(..., optimize=True)`` chose
         #: a cheaper equivalent.
         self.plan_expr = plan_expr if plan_expr is not None else expr
         self._database = database
@@ -685,6 +686,8 @@ class Database:
             strategy = "explain"
             report = self._explain_report(expr, n_shards, shard_strategy)
             result = report.result
+            if report.expr is not None:
+                plan_expr = report.expr
         else:
             if optimize:
                 plan_key, plan_entry = self._adaptive_plan(expr)
@@ -701,6 +704,7 @@ class Database:
             else:
                 plan = self.executor.plan(plan_expr)
                 strategy = plan.strategy
+                plan_expr = plan.expr
                 result = self.executor.run(
                     plan_expr, trace=trace, use_cache=use_cache, plan=plan
                 )

@@ -1,8 +1,12 @@
 """Physical plans: strategy-annotated, cache-aware operator trees.
 
-A physical plan mirrors its logical :class:`~repro.core.expression.Expr`
-tree node for node — the span tree a traced execution records therefore
-still mirrors the expression tree, which ``EXPLAIN ANALYZE`` relies on.
+The planner first runs its rule pass
+(:func:`~repro.optimizer.rewrites.rule_pass`: σ and Π pushed below
+Associate, no search), then lowers the *rewritten* tree.  A physical plan
+mirrors that rewritten :class:`~repro.core.expression.Expr` tree node for
+node — the span tree a traced execution records therefore mirrors the
+plan's ``expr``, which ``EXPLAIN ANALYZE`` relies on; the root's
+``rewrites`` names the rules that fired.
 Every node is a :class:`CompactNode`: nodes exchange integer-interned
 :class:`~repro.exec.arena.CompactSet` values, and only the plan's root
 decodes its result into :class:`~repro.core.pattern.Pattern` objects.
@@ -91,6 +95,7 @@ from repro.optimizer.analysis import (
     predicate_classes,
     value_index_probe,
 )
+from repro.optimizer.rewrites import rule_pass
 
 __all__ = ["CompactNode", "ExecContext", "ObjectIsland", "PhysicalPlanner"]
 
@@ -124,7 +129,7 @@ class ExecContext:
 
 
 class CompactNode:
-    """One node of a physical plan (mirrors one logical node).
+    """One node of a physical plan (mirrors one node of the rewritten tree).
 
     Interior nodes exchange :class:`CompactSet` values through
     :meth:`execute_compact`; the root is reached through :meth:`execute`
@@ -135,6 +140,8 @@ class CompactNode:
 
     strategy = "compact-kernel"
     kernel = "?"
+    #: Rule-pass rules that fired, in order (set on a plan root only).
+    rewrites: tuple[str, ...] = ()
 
     def __init__(
         self,
@@ -558,9 +565,10 @@ def _literal_free(expr: Expr) -> bool:
 
 
 class PhysicalPlanner:
-    """Turns logical expression trees into physical plans, in one pass.
+    """Turns logical expression trees into physical plans.
 
-    Every node lowers to its kernel when it has one and to an
+    The rule pass rewrites the tree first; then every node lowers to its
+    kernel when it has one and to an
     :class:`ObjectIsland` otherwise (see the module docstring).  Islands
     are counted by ``repro_compact_fallback_total``.  A σ planned as a
     ``compact-select`` mask evaluation is counted by
@@ -583,20 +591,40 @@ class PhysicalPlanner:
                 "repro_select_fallback_total",
                 "Selects planned as object islands",
             )
+            self._m_rewrites = metrics.counter(
+                "repro_rewrite_total",
+                "Rule-pass rewrites applied before lowering, by rule",
+            )
         else:
             self._m_islands = None
             self._m_select_compiled = None
             self._m_select_fallback = None
+            self._m_rewrites = None
 
     def plan(self, expr: Expr) -> CompactNode:
-        """The physical plan for ``expr`` (node-for-node mirror)."""
+        """The physical plan for ``expr``: the rule pass, then lowering.
+
+        The plan mirrors the rewritten tree node for node; its root's
+        ``rewrites`` names the rules that fired (empty when none did).
+        """
+        fired: list[str] = []
+        root = self._lower(rule_pass(expr, self.graph, fired))
+        if fired:
+            root.rewrites = tuple(fired)
+            if self._m_rewrites is not None:
+                for rule in fired:
+                    self._m_rewrites.inc(rule=rule)
+        return root
+
+    def _lower(self, expr: Expr) -> CompactNode:
+        """The physical plan for ``expr`` as written (node-for-node)."""
         if isinstance(expr, ClassExtent):
             # The arena caches extents itself; no plan-cache entry.
             return CompactExtentScan(expr, (), None, frozenset({expr.name}))
         if isinstance(expr, Literal):
             return CompactLiteral(expr, (), None, frozenset())
 
-        children = tuple(self.plan(child) for child in expr.children())
+        children = tuple(self._lower(child) for child in expr.children())
         key = canonicalize(expr)
         deps = frozenset().union(*(c.deps for c in children))
 

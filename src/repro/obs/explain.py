@@ -1,8 +1,9 @@
 """EXPLAIN ANALYZE: the plan tree with estimated vs actual cardinalities.
 
 :func:`explain_analyze` evaluates an expression under a span tracer, then
-walks the expression tree and its (structurally identical) span tree in
-lock-step, pairing each node's **estimated** cardinality from the
+walks the tree that actually ran — through the physical executor, the
+tree its rule pass rewrote — and its (structurally identical) span tree
+in lock-step, pairing each node's **estimated** cardinality from the
 optimizer's :class:`~repro.optimizer.cost.CostModel` with the **actual**
 cardinality and wall time the evaluation observed.  The per-node *q-error*
 (``max(est, act) / min(est, act)``, floored at 1 pattern) is the standard
@@ -78,6 +79,10 @@ class ExplainReport:
 
     root: ExplainNode
     result: Any  # the AssociationSet the evaluation produced
+    #: The expression tree that ran (the planner's rewrite of the query).
+    expr: Any = None
+    #: Rule-pass rules that rewrote the query before it ran, in order.
+    rewrites: tuple[str, ...] = ()
 
     def walk(self) -> Iterator[tuple[ExplainNode, int]]:
         """Every plan node with its depth, pre-order."""
@@ -106,6 +111,8 @@ class ExplainReport:
             f"{'est.card':>10}  {'act.card':>8}  {'ms':>8}  {'q-err':>7}  "
             f"{'src':<9}  node",
         ]
+        if self.rewrites:
+            lines.insert(1, f"rewritten by: {', '.join(self.rewrites)}")
         for node, depth in self.walk():
             via = f" via {node.strategy}" if node.strategy is not None else ""
             if node.mask_card is not None:
@@ -147,14 +154,19 @@ def explain_analyze(
     chosen ``strategy`` — with the sub-plan cache bypassed so every node
     truly executes (a cache hit would truncate the plan tree mid-report).
     Without one, the naive logical evaluator runs and ``strategy`` stays
-    ``None``.
+    ``None``.  The report describes the tree that ran: under an executor,
+    the planner's rule pass may have rewritten ``expr``, and the rules
+    that fired land on ``ExplainReport.rewrites``.
     """
     from repro.optimizer.cost import CostModel
 
     model = cost_model if cost_model is not None else CostModel(graph)
     tracer = Tracer()
+    rewrites: tuple[str, ...] = ()
     if executor is not None:
-        result = executor.run(expr, trace=tracer, use_cache=False)
+        plan = executor.plan(expr)
+        expr, rewrites = plan.expr, plan.rewrites
+        result = executor.run(expr, trace=tracer, use_cache=False, plan=plan)
     else:
         result = expr.evaluate(graph, tracer)
     root_span = tracer.roots[-1]
@@ -187,4 +199,4 @@ def explain_analyze(
         )
         for node, _ in root.walk():
             histogram.observe(node.q_error, kind=node.kind)
-    return ExplainReport(root, result)
+    return ExplainReport(root, result, expr, rewrites)

@@ -11,6 +11,11 @@ split into:
   testing showed to fail on degenerate inputs (retention special cases,
   NonAssociate's whole-operand freeness — see EXPERIMENTS.md).  They are
   available for study but the default optimizer does not use them.
+
+:func:`rule_pass` is the search-free counterpart the physical planner runs
+on every query before lowering it: select-pushdown and project-pushdown,
+bottom-up, plus the rotations project-pushdown needs.  Both are rewrites
+that always pay on the kernels, so the pass needs no cost model.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from repro.core.expression import (
+    AssocSpec,
     Associate,
     ClassExtent,
     Complement,
@@ -32,13 +38,23 @@ from repro.core.expression import (
     Select,
     Union,
 )
+from repro.errors import ReproError
+from repro.obs.span import OperatorKind
 from repro.optimizer.analysis import (
+    is_linear,
     is_statically_homogeneous,
     predicate_classes,
     static_classes,
 )
 
-__all__ = ["RewriteRule", "SAFE_RULES", "UNSAFE_RULES", "rebuild", "children"]
+__all__ = [
+    "RewriteRule",
+    "SAFE_RULES",
+    "UNSAFE_RULES",
+    "rebuild",
+    "children",
+    "rule_pass",
+]
 
 
 @dataclass(frozen=True)
@@ -262,12 +278,6 @@ def _union_idempotency(expr: Expr) -> Expr | None:
 # ----------------------------------------------------------------------
 
 
-def _linear(expr: Expr) -> bool:
-    from repro.optimizer.analysis import is_linear
-
-    return is_linear(expr)
-
-
 def _rotate_right(expr: Expr) -> Expr | None:
     """(a * b) * c → a * (b * c) for linear, class-disjoint chains."""
     if not (isinstance(expr, Associate) and isinstance(expr.left, Associate)):
@@ -275,7 +285,7 @@ def _rotate_right(expr: Expr) -> Expr | None:
     a, b, c = expr.left.left, expr.left.right, expr.right
     if expr.spec is not None or expr.left.spec is not None:
         return None  # keep explicit annotations pinned
-    if not (_linear(a) and _linear(b) and _linear(c)):
+    if not (is_linear(a) and is_linear(b) and is_linear(c)):
         return None
     if static_classes(a) & static_classes(c):
         return None
@@ -289,7 +299,7 @@ def _rotate_left(expr: Expr) -> Expr | None:
     a, b, c = expr.left, expr.right.left, expr.right.right
     if expr.spec is not None or expr.right.spec is not None:
         return None
-    if not (_linear(a) and _linear(b) and _linear(c)):
+    if not (is_linear(a) and is_linear(b) and is_linear(c)):
         return None
     if static_classes(a) & static_classes(c):
         return None
@@ -371,3 +381,151 @@ UNSAFE_RULES: tuple[RewriteRule, ...] = (
     RewriteRule("complement-over-intersect", "law e)", _complement_over_intersect),
     RewriteRule("nonassociate-over-intersect", "law f)", _nonassociate_over_intersect),
 )
+
+
+# ----------------------------------------------------------------------
+# the planner's rule pass: rewrites that always pay, no search
+# ----------------------------------------------------------------------
+
+
+def _fans_out(chain: Expr, graph) -> bool:
+    """Whether an association of the linear ``chain`` has at least twice
+    as many edges as its smaller end has instances (O(1) reads per hop).
+
+    Such a hop multiplies the chain's patterns, which projecting the chain
+    onto its join class undoes; over 1:1 links (isa hops) the projection
+    saves nothing and the extra Project node only costs.
+    """
+    if isinstance(chain, Select):
+        return _fans_out(chain.operand, graph)
+    if not isinstance(chain, Associate):
+        return False
+    try:
+        assoc, a_cls, b_cls = chain.resolve(graph)
+    except ReproError:
+        return False
+    smaller = min(graph.extent_size(a_cls), graph.extent_size(b_cls))
+    return (
+        graph.edge_count(assoc) >= 2 * max(smaller, 1)
+        or _fans_out(chain.left, graph)
+        or _fans_out(chain.right, graph)
+    )
+
+
+def _project_pushdown(expr: Project, graph) -> Expr | None:
+    """Π(α *[R(A,B)] β)[E] → Π(α *[R(A,B)] Π(β)[B])[E] (and dually).
+
+    Applies when E has no path links and E's classes lie in α and not in
+    β.  Sound because a chain match of E's classes can never use a vertex
+    or an edge of β: Π sees the same α-part in every concatenation, and β
+    only decides *whether* that part joins — which depends on β's
+    B-instances alone.  Linear joins are first rotated so that as much of
+    the chain as possible sits on the reduced side; the reduced side must
+    be linear and fan out (:func:`_fans_out`).  The rewritten Associate
+    carries the explicit ``[R(A,B)]`` its shorthand resolved to, since
+    ``Π(β)[B]`` has no head class of its own.
+    """
+    if expr.links:
+        return None
+    wanted = frozenset(c for template in expr.templates for c in template.classes)
+    join = expr.operand
+    while isinstance(join.left, Associate) and wanted <= static_classes(
+        join.left.left
+    ):
+        rotated = _rotate_right(join)
+        if rotated is None:
+            break
+        join = rotated
+    while isinstance(join.right, Associate) and wanted <= static_classes(
+        join.right.right
+    ):
+        rotated = _rotate_left(join)
+        if rotated is None:
+            break
+        join = rotated
+    left, right = static_classes(join.left), static_classes(join.right)
+    if wanted <= left and not wanted & right:
+        reduced = join.right
+    elif wanted <= right and not wanted & left:
+        reduced = join.left
+    else:
+        return None
+    if not (is_linear(reduced) and _fans_out(reduced, graph)):
+        return None
+    try:
+        assoc, a_cls, b_cls = join.resolve(graph)
+    except ReproError:
+        return None
+    spec = AssocSpec(a_cls, b_cls, assoc.name)
+    if reduced is join.right:
+        join = Associate(join.left, Project(reduced, ((b_cls,),)), spec)
+    else:
+        join = Associate(Project(reduced, ((a_cls,),)), join.right, spec)
+    return Project(join, expr.templates)
+
+
+def rule_pass(expr: Expr, graph, fired: list[str]) -> Expr:
+    """One bottom-up pass of select-pushdown and project-pushdown.
+
+    No search, no statistics: each rule fires wherever its static
+    conditions hold (project-pushdown also reads two O(1) graph counts).
+    The names of the rules that fired are appended to ``fired``.  When
+    none fires, ``expr`` itself is returned and nothing is allocated.
+    """
+    # Dispatch on ``kind``: the pass runs on every served query, and an
+    # identity test is cheaper than isinstance against the Expr ABC.
+    kind = expr.kind
+    if kind is OperatorKind.EXTENT or kind is OperatorKind.LITERAL:
+        return expr
+    if kind is OperatorKind.SELECT or kind is OperatorKind.PROJECT:
+        operand = rule_pass(expr.operand, graph, fired)
+        if operand is not expr.operand:
+            expr = rebuild(expr, (operand,))
+        if operand.kind is not OperatorKind.ASSOCIATE:
+            return expr
+        return _push_down(expr, graph, fired)
+    left = rule_pass(expr.left, graph, fired)
+    right = rule_pass(expr.right, graph, fired)
+    if left is expr.left and right is expr.right:
+        return expr
+    return rebuild(expr, (left, right))
+
+
+def _push_down(expr: Expr, graph, fired: list[str]) -> Expr:
+    """Push the σ or Π at the root of ``expr`` below its Associate operand
+    as far as it goes; the operand has already been through the pass."""
+    join = expr.operand
+    if join.kind is not OperatorKind.ASSOCIATE:
+        return expr
+    if isinstance(expr, Select):
+        pushed = _select_pushdown_associate(expr)
+        if pushed is None:
+            return expr
+        fired.append("select-pushdown")
+        left, right = pushed.left, pushed.right
+        if left is not join.left:
+            left = _push_down(left, graph, fired)
+        else:
+            right = _push_down(right, graph, fired)
+        return Associate(left, right, join.spec)
+    pushed = _project_pushdown(expr, graph)
+    if pushed is None:
+        return expr
+    fired.append("project-pushdown")
+    # The new Π(β)[B] may push further into β; the rewritten root cannot
+    # fire again (its join carries an explicit spec, its reduced side is
+    # no longer linear).
+    join = pushed.operand
+    left = (
+        _push_down(join.left, graph, fired)
+        if isinstance(join.left, Project)
+        else join.left
+    )
+    right = (
+        _push_down(join.right, graph, fired)
+        if isinstance(join.right, Project)
+        else join.right
+    )
+    if left is join.left and right is join.right:
+        return pushed
+    return Project(Associate(left, right, join.spec), pushed.templates)

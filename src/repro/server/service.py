@@ -737,6 +737,17 @@ class QueryService:
         except (TypeError, ValueError, OverflowError):
             self._count("query", "error")
             return error_response("bad_request", f"bad page_size {page_size!r}")
+        values_of = request.get("values_of")
+        if values_of is not None and not (
+            isinstance(values_of, list) and all(isinstance(c, str) for c in values_of)
+        ):
+            # Checked before admission: a bad value would otherwise raise
+            # after the engine ran and close the session with no response.
+            self._count("query", "error")
+            return error_response(
+                "bad_request",
+                f"bad values_of {values_of!r}: expected a list of class names",
+            )
         expires = time.monotonic() + deadline
         trace_id = _trace_id_of(request)
         received = time.perf_counter()

@@ -388,7 +388,14 @@ class ShardedExecutor:
                 trace.finish(child, output=cards[index])
                 if entry[2] is not None:
                     child.children.append(entry[2])
-            if entry[2] is not None and node.partitioned:
+            # A worker whose rule pass rewrote its expression ran another
+            # tree (the root span renders differently): its spans cannot
+            # annotate this one.
+            if (
+                entry[2] is not None
+                and node.partitioned
+                and entry[2].name == str(exprs[index])
+            ):
                 self._attach_spans(node, entry[2])
         if span is not None:
             trace.finish(span, output=sum(cards))

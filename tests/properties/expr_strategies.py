@@ -53,7 +53,14 @@ TEMPLATES = (
     ("B", "C", "D"),
 )
 
-__all__ = ["CLASSES", "ADJACENT", "TEMPLATES", "predicates", "expressions"]
+__all__ = [
+    "CLASSES",
+    "ADJACENT",
+    "TEMPLATES",
+    "predicates",
+    "expressions",
+    "chain_expressions",
+]
 
 _CONSTANTS = st.one_of(
     st.integers(min_value=-3, max_value=3),
@@ -137,3 +144,61 @@ def expressions(draw, depth: int = 3, printable: bool = True):
         )
         links = (tuple(pair),)
     return Project(left, templates, links)
+
+
+@st.composite
+def _segments(draw, lo: int, hi: int, depth: int):
+    """An operand over the chain classes ``CLASSES[lo..hi]``.
+
+    Heads at ``CLASSES[lo]`` and tails at ``CLASSES[hi]`` unless a Project
+    hides them, in which case the parent join gets an explicit spec.
+    Composite segments are Associates split at a random hop; any segment
+    may come σ'd, unioned with a second segment over the same classes, or
+    projected onto the classes its parent joins through.
+    """
+    if lo == hi:
+        node = ref(CLASSES[lo])
+    else:
+        split = draw(st.integers(min_value=lo, max_value=hi - 1))
+        left = draw(_segments(lo, split, depth - 1))
+        right = draw(_segments(split + 1, hi, depth - 1))
+        a_cls, b_cls = CLASSES[split], CLASSES[split + 1]
+        spec = None
+        unresolvable = left.tail_class is None or right.head_class is None
+        if unresolvable or draw(st.booleans()):
+            spec = AssocSpec(a_cls, b_cls, ADJACENT[a_cls, b_cls])
+        node = Associate(left, right, spec)
+    if depth <= 0:
+        return node
+    wrap = draw(st.sampled_from(["none", "none", "select", "union", "project"]))
+    if wrap == "select":
+        return Select(node, draw(predicates(depth=1)))
+    if wrap == "union":
+        return Union(node, draw(_segments(lo, hi, depth - 1)))
+    if wrap == "project":
+        ends = (CLASSES[lo],) if lo == hi else (CLASSES[lo], CLASSES[hi])
+        return Project(node, tuple((cls,) for cls in ends))
+    return node
+
+
+@st.composite
+def chain_expressions(draw):
+    """σ or Π over an Associate chain along A—B—C—D (the rule-pass shapes).
+
+    The chain's operands are composite, σ'd, unioned or projected
+    (:func:`_segments`); its joins carry explicit specs or not.  The root
+    is a Project onto templates of the chain's classes or a Select, so
+    select-pushdown and project-pushdown both get a chance to fire.
+    """
+    lo = draw(st.integers(min_value=0, max_value=2))
+    hi = draw(st.integers(min_value=lo + 1, max_value=3))
+    chain = draw(_segments(lo, hi, depth=2))
+    if draw(st.booleans()):
+        return Select(chain, draw(predicates(depth=1)))
+    inside = set(CLASSES[lo : hi + 1])
+    templates = [t for t in TEMPLATES if set(t) <= inside]
+    chosen = draw(st.lists(st.sampled_from(templates), min_size=1, max_size=2))
+    links = ()
+    if draw(st.integers(min_value=0, max_value=4)) == 0:
+        links = ((CLASSES[lo], CLASSES[hi]),)
+    return Project(chain, tuple(chosen), links)

@@ -258,3 +258,84 @@ class TestKernelClosedPlans:
         with pytest.raises(EvaluationError) as served:
             chain_db.query(expr)
         assert str(served.value) == str(reference.value)
+
+
+class TestRulePass:
+    """The planner's search-free rewrites: σ and Π pushed below Associate."""
+
+    @pytest.fixture()
+    def chain_db(self):
+        return Database.from_dataset(
+            valued_chain_dataset(n_classes=4, extent_size=30, density=0.1, seed=11)
+        )
+
+    def test_select_pushdown_reaches_the_value_index(self, chain_db):
+        expr = chain_db.compile("sigma(V1*V2*V3)[V1 = 999983]")
+        plan = chain_db.executor.plan(expr)
+        assert plan.rewrites == ("select-pushdown", "select-pushdown")
+        assert str(plan.expr) == "((σ(V1)[V1 = 999983] * V2) * V3)"
+        kernels = [node.kernel for node, _ in plan.walk()]
+        assert kernels == [
+            "hash-join",
+            "hash-join",
+            "value-index",
+            "extent",
+            "extent",
+            "extent",
+        ]
+
+    def test_project_pushdown_reduces_the_far_side(self, chain_db):
+        plan = chain_db.executor.plan(chain_db.compile("pi(V0*V1*V2)[V0]"))
+        assert plan.rewrites == ("project-pushdown",)
+        assert str(plan.expr) == "Π((V0 *[V0__V1(V0,V1)] Π((V1 * V2))[V1]))[V0]"
+        plan = chain_db.executor.plan(chain_db.compile("pi(V1*V2*V3)[V3]"))
+        assert str(plan.expr) == "Π((Π((V1 * V2))[V2] *[V2__V3(V2,V3)] V3))[V3]"
+
+    def test_longer_chain_becomes_a_semijoin_chain(self, chain_db):
+        plan = chain_db.executor.plan(chain_db.compile("pi(V0*V1*V2*V3)[V0]"))
+        assert plan.rewrites == ("project-pushdown", "project-pushdown")
+        assert str(plan.expr) == (
+            "Π((V0 *[V0__V1(V0,V1)] "
+            "Π((V1 *[V1__V2(V1,V2)] Π((V2 * V3))[V2]))[V1]))[V0]"
+        )
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "pi(V0*V1*V2)[V0]",
+            "sigma(V1*V2*V3)[V1 = 999983]",
+            "pi(V0*V1*V2*V3)[V0]",
+            "pi(V0*(V1*V2)*V3)[V3]",
+            "pi(sigma(V0*V1*V2)[V2 = 999983])[V0]",
+        ],
+    )
+    def test_rewritten_plans_match_the_reference(self, chain_db, text):
+        expr = chain_db.compile(text)
+        result = chain_db.query(expr, use_cache=False)
+        assert result.set == expr.evaluate(chain_db.graph)
+        assert result.plan_expr.evaluate(chain_db.graph) == result.set
+
+    def test_no_rule_fires_returns_the_same_tree(self, chain_db):
+        expr = chain_db.compile("sigma(V0)[V0 = 999983] * V1")
+        plan = chain_db.executor.plan(expr)
+        assert plan.expr is expr
+        assert plan.rewrites == ()
+        assert chain_db.query(expr).plan_expr is expr
+
+    def test_fan_out_guard_keeps_one_to_one_chains(self, db):
+        # every hop of Query 1 is a 1:1 link: projecting a side saves nothing
+        expr = db.compile("pi(TA * Grad * Student * Person * SS#)[SS#]")
+        plan = db.executor.plan(expr)
+        assert plan.expr is expr and plan.rewrites == ()
+
+    def test_path_links_block_project_pushdown(self, chain_db):
+        expr = (ref("V0") * ref("V1") * ref("V2")).project(["V0"], ["V0:V2"])
+        assert chain_db.executor.plan(expr).expr is expr
+
+    def test_rewrites_are_counted_by_rule(self, chain_db):
+        counter = chain_db.metrics.counter("repro_rewrite_total")
+        chain_db.query("sigma(V1*V2*V3)[V1 = 999983]")
+        chain_db.query("pi(V0*V1*V2)[V0]")
+        chain_db.query("V0 * V1")
+        assert counter.value(rule="select-pushdown") == 2
+        assert counter.value(rule="project-pushdown") == 1

@@ -88,3 +88,64 @@ class TestExplainAnalyze:
 
         with pytest.raises(EvaluationError):
             db.explain_analyze(42)
+
+
+class TestExplainRewrittenPlans:
+    """EXPLAIN reports the tree the planner's rule pass actually ran."""
+
+    @pytest.fixture()
+    def chain_db(self):
+        from repro.datagen import valued_chain_dataset
+
+        return Database.from_dataset(
+            valued_chain_dataset(n_classes=3, extent_size=30, density=0.1, seed=11)
+        )
+
+    def test_report_follows_the_rewritten_tree(self, chain_db):
+        result = chain_db.query("pi(V0*V1*V2)[V0]", explain=True)
+        report = result.report
+        text = report.pretty()
+        assert "rewritten by: project-pushdown" in text
+        assert "Π((V1 * V2))[V1] [A-Project]" in text
+        assert report.rewrites == ("project-pushdown",)
+        assert result.plan_expr is report.expr
+        # Pre-order over the plan's expression pairs node for node with
+        # the report; each actual is that subtree's true cardinality.
+        nodes = [node for node, _ in report.walk()]
+        subtrees = list(_preorder(report.expr))
+        assert [node.text for node in nodes] == [str(e) for e in subtrees]
+        for node, subtree in zip(nodes, subtrees):
+            assert node.actual == len(subtree.evaluate(chain_db.graph)), node.text
+        assert report.result == chain_db.compile("pi(V0*V1*V2)[V0]").evaluate(
+            chain_db.graph
+        )
+
+    def test_actuals_match_the_spans_that_ran(self, chain_db):
+        from repro.obs.span import Tracer
+
+        expr = chain_db.compile("sigma(V0*V1*V2)[V2 = 999983]")
+        report = chain_db.explain_analyze(expr)
+        tracer = Tracer()
+        chain_db.executor.run(expr, trace=tracer, use_cache=False)
+        spans = list(_span_preorder(tracer.roots[-1]))
+        nodes = [node for node, _ in report.walk()]
+        assert [(n.text, n.actual) for n in nodes] == [
+            (s.name, s.output_cardinality) for s in spans
+        ]
+
+    def test_unrewritten_report_has_no_rewrite_line(self, db):
+        report = db.explain_analyze("pi(TA * Grad)[TA]")
+        assert report.rewrites == ()
+        assert "rewritten by" not in report.pretty()
+
+
+def _preorder(expr):
+    yield expr
+    for child in expr.children():
+        yield from _preorder(child)
+
+
+def _span_preorder(span):
+    yield span
+    for child in span.children:
+        yield from _span_preorder(child)

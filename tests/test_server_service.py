@@ -112,6 +112,21 @@ class TestBasics:
             assert client.query("TA * Grad").count == 2
         assert requests.value(op="query", status="error") == errors + 1
 
+    @pytest.mark.parametrize("values_of", [5, [["TA"]], "TA", {"TA": 1}, [None]])
+    def test_malformed_values_of_is_refused_not_fatal(self, server, values_of):
+        """A bad ``values_of`` used to raise after the engine ran (or, as a
+        string, answer per character) instead of refusing the request."""
+        requests = server.service.metrics.get("repro_server_requests_total")
+        errors = requests.value(op="query", status="error")
+        with ServerClient(server.host, server.port) as client:
+            with pytest.raises(ServerError) as exc_info:
+                client._rpc({"op": "query", "q": "TA * Grad", "values_of": values_of})
+            assert exc_info.value.code == "bad_request"
+            # The same session answers the next query.
+            result = client.query("pi(TA * Grad)[TA]", values_of=["TA"])
+            assert result.count == 2 and set(result.values) == {"TA"}
+        assert requests.value(op="query", status="error") == errors + 1
+
     def test_bad_op_is_structured(self, server):
         with ServerClient(server.host, server.port) as client:
             with pytest.raises(ServerError) as exc_info:

@@ -200,3 +200,30 @@ def test_sharded_explain_shows_strategy_and_per_shard_cards(chain_db):
     assert all(len(c) == 2 for c in cards)
     # the root actual matches the real result
     assert report.root.actual == len(chain_db.query(expr).set)
+
+
+def test_sharded_explain_ignores_spans_of_rewritten_worker_trees():
+    """A worker's rule pass may rewrite its expression (here Π over the
+    broadcast side's chain); its span tree then describes another tree
+    and must not label the coordinator's nodes with its numbers."""
+    from repro.core.expression import AssocSpec, Associate, Project
+
+    ds = chain_dataset(n_classes=4, extent_size=12, density=0.3, seed=7)
+    db = Database(ds.schema, ds.graph)
+    try:
+        chain = ref("K1") * ref("K2") * ref("K3")
+        spec = AssocSpec("K0", "K1", db.schema.resolve("K0", "K1").name)
+        expr = Associate(ref("K0"), Project(chain, [("K1",)]), spec)
+        assert db.executor.plan(expr.right).rewrites == ("project-pushdown",)
+        report = db.query(expr, shards=2, explain=True).report
+        assert report.result == expr.evaluate(db.graph)
+        truth = {
+            str(sub): len(sub.evaluate(db.graph))
+            for sub in (chain, chain.left, expr.right)
+        }
+        for node, _ in report.walk():
+            if node.text in truth and node.shard_cards:
+                # replicated subtrees run whole on every shard
+                assert set(node.shard_cards) == {truth[node.text]}, node.text
+    finally:
+        db.close()
