@@ -45,7 +45,12 @@ from repro.core.operators import (
     associate,
     non_associate,
 )
-from repro.core.operators.project import ChainTemplate, PathLink
+from repro.core.operators.project import (
+    ChainTemplate,
+    PathLink,
+    _coerce_link,
+    _coerce_template,
+)
 from repro.core.predicates import Predicate
 from repro.errors import EvaluationError
 from repro.objects.graph import ObjectGraph
@@ -629,8 +634,6 @@ class Project(Expr):
         templates: tuple["ChainTemplate | str | Sequence[str]", ...],
         links: tuple["PathLink | str | Sequence[str]", ...] = (),
     ) -> None:
-        from repro.core.operators.project import _coerce_link, _coerce_template
-
         self.operand = operand
         self.templates = tuple(_coerce_template(t) for t in templates)
         self.links = tuple(_coerce_link(t) for t in links)
