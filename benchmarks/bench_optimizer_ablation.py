@@ -20,6 +20,12 @@ of its lowering, the targets at least 3x faster) are measured by
 ``rule_pass_section`` into the ``rule_pass`` block of
 ``BENCH_optimizer.json``, where timing noise is visible instead of flaky.
 
+The search itself (:class:`~repro.optimizer.planner.Optimizer`) serves no
+query; it is measured against the rule pass on the same reads
+(``search_vs_rule_pass``).  The CI gate checks that both plans are exact
+and which reads the search plans differently (:data:`SEARCH_DIFFERS`);
+their times land in ``BENCH_optimizer.json``.
+
 A fourth family ablates the *cost model itself*: on the value-skewed
 ``skewed_dataset`` workload the fixed-selectivity (uniform) model and the
 histogram-backed statistics model disagree about join order, and the
@@ -181,14 +187,14 @@ def optimizer_sections(quick: bool) -> dict:
 
     For each skewed-workload query, both cost models pick a plan; each
     plan then runs through the physical executor (result cache off, so
-    every sample pays the full execution and no feedback contaminates the
-    model comparison) and through a traced logical evaluation for the
-    deterministic constructed-pattern count.
+    every sample pays the full execution) and through a traced logical
+    evaluation for the deterministic constructed-pattern count.
     """
     from repro.obs import explain_analyze
 
     # First, while the heap is small: its gates compare milliseconds.
     rule_pass = rule_pass_section(repeat=9 if quick else 15)
+    search_vs_rule_pass = search_vs_rule_pass_section(repeat=5 if quick else 15)
     extent = 300 if quick else 1000
     repeat = 3 if quick else 7
     dataset, db = _skewed_db(extent)
@@ -254,6 +260,7 @@ def optimizer_sections(quick: bool) -> dict:
         "queries": queries,
         "gates": gates,
         "rule_pass": rule_pass,
+        "search_vs_rule_pass": search_vs_rule_pass,
     }
 
 
@@ -322,7 +329,8 @@ RULE_PASS_MIN_TARGET_SHRINK = 3.0
 
 
 def rule_pass_cases():
-    """``(workload, database, query)`` for every served read and Q1-Q5."""
+    """``(workload, label, database, query)`` for every served read and
+    Q1-Q5; a served read is its own label, a paper query is ``Qn``."""
     from bench_paper_queries import QUERY_1, QUERY_2, QUERY_3, QUERY_4, QUERY_5
     from e2e.loadgen import POINT_READS, SCAN_READS, WIDE_READS, build_dataset
 
@@ -336,9 +344,9 @@ def rule_pass_cases():
         ("point", POINT_READS),
         ("wide", WIDE_READS),
     ):
-        cases += [(workload, served, q) for q in reads]
-    for query in (QUERY_1, QUERY_2, QUERY_3, QUERY_4, QUERY_5):
-        cases.append(("paper", paper, " ".join(query.split())))
+        cases += [(workload, q, served, q) for q in reads]
+    for n, query in enumerate((QUERY_1, QUERY_2, QUERY_3, QUERY_4, QUERY_5), 1):
+        cases.append(("paper", f"Q{n}", paper, " ".join(query.split())))
     return cases
 
 
@@ -362,7 +370,7 @@ def rule_pass_section(repeat: int = 21) -> dict:
     from repro.optimizer.rewrites import rule_pass
 
     rows = {}
-    for workload, db, query in rule_pass_cases():
+    for workload, _, db, query in rule_pass_cases():
         executor = db.executor
         expr = db.compile(query)
         plan = executor.plan(expr)
@@ -435,7 +443,7 @@ def test_rule_pass_never_slower():
     from repro.optimizer.rewrites import rule_pass
 
     rewritten = {}
-    for _, db, query in rule_pass_cases():
+    for _, _, db, query in rule_pass_cases():
         executor = db.executor
         expr = db.compile(query)
         plan = executor.plan(expr)
@@ -457,3 +465,107 @@ def test_rule_pass_never_slower():
             before_max,
             after_max,
         )
+
+
+# ----------------------------------------------------------------------
+# the search against the rule pass
+# ----------------------------------------------------------------------
+
+#: The reads on which the search, then the rule pass, plans differently
+#: from the rule pass alone — every one by re-associating a join chain.
+SEARCH_DIFFERS = frozenset(
+    {
+        "sigma(V0*V1*V2)[V2 = 999983]",
+        "sigma(V0)[V0 = 0]*V1*V2 - sigma(V0)[V0 = 0]*V1*sigma(V2)[V2 < 999983]",
+        "(V1*V2*V3) / (sigma(V3)[V3 = 999983] * V2)",
+        "sigma(V0)[V0 >= 15] * V1 * V2",
+        "Q2",
+        "Q3",
+        "Q5",
+    }
+)
+
+
+def search_vs_rule_pass_cases():
+    """``(workload, label, database, expr, rule_plan, search_plan)``.
+
+    ``rule_plan`` is what every query runs: the rule pass, then
+    lowering.  ``search_plan`` lowers the search's choice (statistics
+    cost model) the same way, so the rule pass runs on both.
+    """
+    cases = []
+    for workload, label, db, query in rule_pass_cases():
+        expr = db.compile(query)
+        model = CostModel(db.graph, stats=db.stats)
+        searched = Optimizer(db.graph, cost_model=model).optimize(expr).expr
+        cases.append(
+            (
+                workload,
+                label,
+                db,
+                expr,
+                db.executor.plan(expr),
+                db.executor.plan(searched),
+            )
+        )
+    return cases
+
+
+def search_vs_rule_pass_section(repeat: int = 15) -> dict:
+    """The search against the rule pass alone, per served read and Q1-Q5.
+
+    Both plans run uncached, GC paused, in alternating pairs ``repeat``
+    times; ``search_ms`` is the median time of the search itself.
+    """
+    rows = {}
+    for workload, label, db, expr, rule, search in search_vs_rule_pass_cases():
+        executor = db.executor
+        model = CostModel(db.graph, stats=db.stats)
+        rule_s, search_s = [], []
+        for _ in range(repeat):
+            rule_s += gc_paused_samples(
+                lambda: executor.run(rule.expr, plan=rule, use_cache=False), 1
+            )
+            search_s += gc_paused_samples(
+                lambda: executor.run(search.expr, plan=search, use_cache=False), 1
+            )
+        rule_ms = statistics.median(rule_s) * 1e3
+        search_ms = statistics.median(search_s) * 1e3
+        optimize_s = median_seconds(
+            lambda: Optimizer(db.graph, cost_model=model).optimize(expr), 3
+        )
+        rows[label] = {
+            "workload": workload,
+            "same_plan": rule.expr == search.expr,
+            "rule_plan": str(rule.expr),
+            "search_plan": str(search.expr),
+            "rule_patterns": patterns_built(executor, rule.expr, rule)[0],
+            "search_patterns": patterns_built(executor, search.expr, search)[0],
+            "rule_ms": round(rule_ms, 3),
+            "search_plan_ms": round(search_ms, 3),
+            "search_ms": round(optimize_s * 1e3, 3),
+            "search_speedup": round(rule_ms / search_ms, 2),
+        }
+    return {
+        "queries": rows,
+        "differs": sorted(q for q, row in rows.items() if not row["same_plan"]),
+    }
+
+
+def test_search_vs_rule_pass():
+    """Both plans are exact, and the search departs from the rule pass on
+    exactly the reads of :data:`SEARCH_DIFFERS`.
+
+    Deterministic (plans and result sets, not wall-clock), so it can run
+    in CI smoke; the timings land in ``BENCH_optimizer.json``.
+    """
+    differs = set()
+    for _, label, db, expr, rule, search in search_vs_rule_pass_cases():
+        reference = expr.evaluate(db.graph)
+        assert db.executor.run(rule.expr, plan=rule, use_cache=False) == reference
+        assert (
+            db.executor.run(search.expr, plan=search, use_cache=False) == reference
+        ), label
+        if rule.expr != search.expr:
+            differs.add(label)
+    assert differs == SEARCH_DIFFERS, sorted(differs)

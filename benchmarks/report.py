@@ -594,6 +594,23 @@ def report_optimizer(sections: dict) -> None:
         f" | targets ≥3x: {gates['targets_at_or_above_3x']}"
         f" | pass ≤ half of lowering: {gates['pass_at_most_half_of_lowering']}"
     )
+    search = sections["search_vs_rule_pass"]
+    table(
+        "I. search vs rule pass (reads whose plans differ; ms, uncached)",
+        ["query", "search plan", "rule pass", "search", "search speedup"],
+        [
+            [
+                query,
+                row["search_plan"],
+                f"{row['rule_ms']:.2f}",
+                f"{row['search_plan_ms']:.2f}",
+                f"{row['search_speedup']}x",
+            ]
+            for query, row in search["queries"].items()
+            if not row["same_plan"]
+        ],
+    )
+    print(f"\nplans differ on {len(search['differs'])} of {len(search['queries'])}")
 
 
 def _stat_rows(entries: dict) -> list[list[str]]:

@@ -50,7 +50,7 @@ from repro.exec.executor import Executor
 from repro.objects.builder import GraphBuilder
 from repro.objects.graph import ObjectGraph
 from repro.obs.events import EventLog
-from repro.obs.metrics import MetricsRegistry, Q_ERROR_BUCKETS
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.span import Tracer
 from repro.optimizer.stats import StatisticsCatalog
 from repro.schema.graph import SchemaGraph
@@ -111,8 +111,7 @@ class QueryResult:
         self.strategy = strategy
         #: The (possibly rewritten) expression that actually executed —
         #: differs from ``expr`` when the planner's rule pass pushed a σ
-        #: or Π below an Associate, or ``query(..., optimize=True)`` chose
-        #: a cheaper equivalent.
+        #: or Π below an Associate.
         self.plan_expr = plan_expr if plan_expr is not None else expr
         self._database = database
 
@@ -183,7 +182,7 @@ class Database:
         self._snapshot_path: Path | None = None
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         #: Structured operational journal (mutation batches, plan-cache
-        #: invalidations, stats refreshes, replans); the query service
+        #: invalidations, stats refreshes); the query service
         #: passes its own shared ring so engine events interleave with
         #: request events in one stream.
         self.events = (
@@ -200,27 +199,14 @@ class Database:
             "repro_mutation_events_total", "Mutation events emitted, by kind"
         )
         self.graph.attach_metrics(self.metrics)
-        # Measured statistics + execution feedback for the adaptive
-        # planner; dormant (uniform assumptions apply) until analyze().
+        # Measured statistics for EXPLAIN estimates and distributed
+        # planning; dormant (uniform assumptions apply) until analyze().
         self.stats = StatisticsCatalog(self.graph, self.metrics)
-        #: Q-error above which an adaptive plan choice is dropped and the
-        #: next execution re-plans.
-        self.replan_threshold = 10.0
-        self._m_replans = self.metrics.counter(
-            "repro_replan_total",
-            "Adaptive plan choices dropped after a q-error over threshold",
-        )
-        self._m_plan_q_error = self.metrics.histogram(
-            "repro_plan_q_error",
-            "Root q-error of adaptively planned queries (estimate vs actual)",
-            buckets=Q_ERROR_BUCKETS,
-        )
         # The physical execution engine; creating it here also registers
         # its cache hit/miss/invalidation counters so they are present in
         # metrics exports from the first scrape.
         self.executor = Executor(self.graph, self.metrics, stats=self.stats)
-        # A stats refresh makes remembered plan choices stale: drop the
-        # ones that depend on the refreshed classes (results survive).
+        # Every stats refresh lands in the event journal.
         self.stats.subscribe(self._on_stats_refresh)
         #: Materialized views, maintained incrementally off the mutation
         #: event stream; created before the engine attaches so checkpoint
@@ -244,8 +230,8 @@ class Database:
 
         The statistics catalog is analyzed up front (``analyze=False``
         opts out), matching :meth:`open` — every construction path leaves
-        stats warm so plan choice is measured, not assumed, from the
-        first query.
+        stats warm so EXPLAIN estimates and distributed planning are
+        measured, not assumed, from the first query.
         """
         db = cls(dataset.schema, dataset.graph)
         if analyze:
@@ -608,25 +594,15 @@ class Database:
         return self.stats
 
     def _on_stats_refresh(self, classes: frozenset) -> None:
-        dropped = self.executor.cache.invalidate_stats(classes)
         self.events.emit(
-            "stats.refresh",
-            version=self.stats.version,
-            classes=sorted(classes),
-            plans_dropped=dropped,
+            "stats.refresh", version=self.stats.version, classes=sorted(classes)
         )
 
     def _cost_model(self):
-        """The cost model current statistics justify.
-
-        Uniform assumptions until the catalog has been analyzed; recorded
-        execution feedback is consulted either way.
-        """
+        """The cost model EXPLAIN estimates with (uniform until analyzed)."""
         from repro.optimizer.cost import CostModel
 
-        if self.stats.analyzed:
-            return CostModel(self.graph, stats=self.stats)
-        return CostModel(self.graph, feedback=self.stats.feedback)
+        return CostModel(self.graph, stats=self.stats)
 
     # ------------------------------------------------------------------
     # queries
@@ -639,7 +615,6 @@ class Database:
         trace: Tracer | None = None,
         explain: bool = False,
         use_cache: bool = True,
-        optimize: bool = False,
         shards: int | None = None,
         shard_strategy: str | None = None,
     ) -> QueryResult:
@@ -653,15 +628,6 @@ class Database:
         ``QueryResult.report``, the cache is bypassed so every plan node
         truly executes, and ``trace`` is ignored (the report owns the
         span tree).
-
-        With ``optimize=True`` the query first goes through the adaptive
-        planner: the rewrite optimizer (costed with current statistics
-        and execution feedback) picks the cheapest equivalent, the choice
-        is remembered per canonical query and stamped with the stats
-        version, and after execution the root q-error is checked against
-        :attr:`replan_threshold` — a miss
-        drops the remembered choice so the *next* execution re-plans with
-        the feedback this one recorded (``repro_replan_total``).
 
         With ``shards=N`` (N ≥ 2; defaults to :attr:`default_shards`) the
         distributed planner looks for a hash partitioning that moves work
@@ -680,7 +646,6 @@ class Database:
         started = time.perf_counter()
         report = None
         plan_expr = expr
-        plan_key = plan_entry = None
         n_shards = shards if shards is not None else self.default_shards
         if explain:
             strategy = "explain"
@@ -689,12 +654,9 @@ class Database:
             if report.expr is not None:
                 plan_expr = report.expr
         else:
-            if optimize:
-                plan_key, plan_entry = self._adaptive_plan(expr)
-                plan_expr = plan_entry.expr
             dist_plan = None
             if n_shards is not None and n_shards > 1:
-                dist_plan = self._dist_plan(plan_expr, n_shards, shard_strategy)
+                dist_plan = self._dist_plan(expr, n_shards, shard_strategy)
             if dist_plan is not None:
                 strategy = "sharded"
                 pool = self._ensure_shard_pool(n_shards)
@@ -702,14 +664,12 @@ class Database:
                     dist_plan, trace=trace, use_cache=use_cache
                 )
             else:
-                plan = self.executor.plan(plan_expr)
+                plan = self.executor.plan(expr)
                 strategy = plan.strategy
                 plan_expr = plan.expr
                 result = self.executor.run(
                     plan_expr, trace=trace, use_cache=use_cache, plan=plan
                 )
-            if plan_entry is not None:
-                self._adaptive_feedback(plan_key, plan_entry, len(result))
         self._m_queries.inc()
         self._m_query_seconds.observe(
             time.perf_counter() - started, strategy=strategy
@@ -738,48 +698,6 @@ class Database:
             metrics=self.metrics,
             executor=self.executor,
         )
-
-    def _adaptive_plan(self, expr: Expr):
-        """The remembered (or freshly optimized) plan choice for ``expr``."""
-        from repro.exec.cache import PlanEntry, canonicalize, expr_dependencies
-        from repro.optimizer.planner import Optimizer
-
-        key = canonicalize(expr)
-        entry = self.executor.cache.get_plan(key)
-        if entry is None or entry.stats_version != self.stats.version:
-            optimizer = Optimizer(
-                self.graph, metrics=self.metrics, cost_model=self._cost_model()
-            )
-            best = optimizer.optimize(expr)
-            entry = PlanEntry(
-                best.expr,
-                best.estimate,
-                self.stats.version,
-                expr_dependencies(expr),
-            )
-            self.executor.cache.put_plan(key, entry)
-        return key, entry
-
-    def _adaptive_feedback(self, key: Expr, entry: Any, actual: int) -> None:
-        """Check a finished adaptive query's estimate against reality."""
-        threshold = self.replan_threshold
-        est = max(float(entry.estimate.cardinality), 1.0)
-        act = max(float(actual), 1.0)
-        q_error = max(est, act) / min(est, act)
-        self._m_plan_q_error.observe(q_error)
-        if q_error > threshold:
-            # The choice was made on numbers that were wrong by more than
-            # the threshold: forget it.  This run recorded true sub-plan
-            # cardinalities into the feedback store, so the re-plan sees
-            # through the mis-estimate.
-            self.executor.cache.drop_plan(key)
-            self._m_replans.inc()
-            self.events.emit(
-                "replan",
-                query=str(key),
-                q_error=round(q_error, 3),
-                threshold=threshold,
-            )
 
     def explain_analyze(self, query: "Expr | str") -> "Any":
         """EXPLAIN ANALYZE: evaluate with tracing and annotate the plan.

@@ -12,7 +12,7 @@ typed column store with compiled predicate masks
 """
 
 from repro.exec.arena import CompactSet, PatternArena
-from repro.exec.cache import PlanCache, PlanEntry, canonicalize, expr_dependencies
+from repro.exec.cache import PlanCache, canonicalize, expr_dependencies
 from repro.exec.columns import ColumnStore, compile_select, compiled_select_probe
 from repro.exec.executor import Executor
 from repro.exec.physical import CompactNode, ExecContext, ObjectIsland, PhysicalPlanner
@@ -27,7 +27,6 @@ __all__ = [
     "ObjectIsland",
     "PhysicalPlanner",
     "PlanCache",
-    "PlanEntry",
     "canonicalize",
     "compile_select",
     "compiled_select_probe",

@@ -29,7 +29,6 @@ while concurrent ``put`` calls would otherwise resize it mid-walk).
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 
 from repro.core.assoc_set import AssociationSet
 from repro.core.expression import (
@@ -51,7 +50,7 @@ from repro.optimizer.analysis import predicate_classes
 
 __all__ = [
     "PlanCache",
-    "PlanEntry",
+    "canonical_step",
     "canonicalize",
     "expr_dependencies",
     "expr_value_dependencies",
@@ -68,28 +67,33 @@ def canonicalize(expr: Expr) -> Expr:
     operands ordered by their rendering); deeper algebraic equivalences
     are the optimizer's business, not the cache's.
     """
-    if isinstance(expr, Union):
-        left, right = canonicalize(expr.left), canonicalize(expr.right)
+    return canonical_step(expr, tuple(canonicalize(c) for c in expr.children()))
+
+
+def canonical_step(expr: Expr, children: tuple[Expr, ...]) -> Expr:
+    """One level of :func:`canonicalize`: ``expr`` over canonical ``children``.
+
+    ``children`` are the canonical forms of ``expr.children()``, in order.
+    A planner lowering bottom-up already holds them, so it keys each node
+    in one step instead of re-canonicalizing the whole subtree.
+    """
+    if isinstance(expr, (Union, Intersect)):
+        left, right = children
         if str(left) > str(right):
             left, right = right, left
-        return Union(left, right)
-    if isinstance(expr, Intersect):
-        left, right = canonicalize(expr.left), canonicalize(expr.right)
-        if str(left) > str(right):
-            left, right = right, left
+        if isinstance(expr, Union):
+            return Union(left, right)
         return Intersect(left, right, expr.classes)
     if isinstance(expr, (Associate, Complement, NonAssociate)):
-        return type(expr)(
-            canonicalize(expr.left), canonicalize(expr.right), expr.spec
-        )
+        return type(expr)(*children, expr.spec)
     if isinstance(expr, Difference):
-        return Difference(canonicalize(expr.left), canonicalize(expr.right))
+        return Difference(*children)
     if isinstance(expr, Divide):
-        return Divide(canonicalize(expr.left), canonicalize(expr.right), expr.classes)
+        return Divide(*children, expr.classes)
     if isinstance(expr, Select):
-        return Select(canonicalize(expr.operand), expr.predicate)
+        return Select(children[0], expr.predicate)
     if isinstance(expr, Project):
-        return Project(canonicalize(expr.operand), expr.templates, expr.links)
+        return Project(children[0], expr.templates, expr.links)
     return expr  # ClassExtent / Literal — already canonical
 
 
@@ -143,32 +147,11 @@ def _collect_values(expr: Expr, out: set[str]) -> None:
             _collect_values(child, out)
 
 
-@dataclass(frozen=True)
-class PlanEntry:
-    """One remembered *plan choice* (not a result) for a canonical query.
-
-    ``expr`` is the optimized expression chosen for the query,
-    ``estimate`` the :class:`~repro.optimizer.cost.Estimate` it was
-    chosen with, ``stats_version`` the statistics-catalog version the
-    estimate was computed under, and ``deps`` the class dependency set —
-    a stats refresh touching any of those classes drops the entry so the
-    next execution re-plans with the fresher numbers.
-    """
-
-    expr: Expr
-    estimate: object
-    stats_version: int
-    deps: frozenset[str]
-
-
 class PlanCache:
     """Canonical-expression → result cache, invalidated by class.
 
-    A second, independent table remembers *plan choices*
-    (:class:`PlanEntry`): which optimized expression the adaptive planner
-    picked for a canonical query and under which statistics version.
-    Results survive a stats refresh (the data did not change), but plan
-    choices do not — they were ranked with numbers that are now stale.
+    Only results are cached — plans are rebuilt per query, so a
+    statistics refresh (which changes no data) leaves every entry valid.
     """
 
     def __init__(self, metrics: MetricsRegistry | None = None) -> None:
@@ -176,7 +159,6 @@ class PlanCache:
         # each entry carries (result, class deps, value-only deps) — the
         # third set gates invalidation for attribute-only update events.
         self._entries: dict[Expr, tuple[object, frozenset[str], frozenset[str]]] = {}
-        self._plans: dict[Expr, PlanEntry] = {}
         self._lock = threading.Lock()
         self.metrics = metrics
         if metrics is not None:
@@ -217,43 +199,6 @@ class PlanCache:
         with self._lock:
             self._entries[key] = (result, deps, value_deps)
 
-    # ------------------------------------------------------------------
-    # plan choices
-    # ------------------------------------------------------------------
-
-    def get_plan(self, key: Expr) -> PlanEntry | None:
-        """The remembered plan choice for a canonical query, if any."""
-        with self._lock:
-            return self._plans.get(key)
-
-    def put_plan(self, key: Expr, entry: PlanEntry) -> None:
-        with self._lock:
-            self._plans[key] = entry
-
-    def drop_plan(self, key: Expr) -> bool:
-        """Forget one plan choice (adaptive re-planning after a q-error)."""
-        with self._lock:
-            return self._plans.pop(key, None) is not None
-
-    def invalidate_stats(self, classes) -> int:
-        """Drop plan choices depending on any of ``classes``.
-
-        Called when the statistics catalog refreshes those classes: the
-        choices were ranked with numbers that no longer describe the
-        data.  Cached *results* are untouched — they depend on the data,
-        which a stats refresh does not change.
-        """
-        touched = set(classes)
-        with self._lock:
-            stale = [
-                key
-                for key, entry in self._plans.items()
-                if ANY in entry.deps or entry.deps & touched
-            ]
-            for key in stale:
-                del self._plans[key]
-        return len(stale)
-
     def invalidate_classes(self, classes, kind: str | None = None) -> int:
         """Drop entries depending on any of ``classes``; return the count.
 
@@ -283,7 +228,6 @@ class PlanCache:
         with self._lock:
             dropped = len(self._entries)
             self._entries.clear()
-            self._plans.clear()
         if dropped and self.metrics is not None:
             self._m_invalidations.inc(dropped)
 

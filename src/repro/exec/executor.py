@@ -47,8 +47,8 @@ class Executor:
     ) -> None:
         self.graph = graph
         self.metrics = metrics
-        # Optional StatisticsCatalog: fed the same mutation events as the
-        # arena, and its FeedbackStore collects actual cardinalities.
+        # Optional StatisticsCatalog, fed the same mutation events as the
+        # arena.
         self.stats = stats
         self.arena = PatternArena(graph, metrics)
         self.cache = PlanCache(metrics)
@@ -138,20 +138,14 @@ class Executor:
         """Evaluate ``expr`` through its physical plan.
 
         A caller that already holds the plan (from :meth:`plan`, e.g. to
-        read its root strategy) passes it back via ``plan`` and skips
-        replanning; the plan must come from this executor *after* its
+        read its root strategy) passes it back via ``plan`` so it is not
+        built twice; the plan must come from this executor *after* its
         last refresh.
         """
         if plan is None:
             self.refresh()
             plan = self.planner.plan(expr)
-        ctx = ExecContext(
-            self.graph,
-            self.cache,
-            use_cache,
-            self.arena,
-            self.stats.feedback if self.stats is not None else None,
-        )
+        ctx = ExecContext(self.graph, self.cache, use_cache, self.arena)
         return plan.execute(ctx, trace)
 
     def __str__(self) -> str:

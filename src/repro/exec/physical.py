@@ -73,7 +73,7 @@ from repro.core.expression import (
 )
 from repro.errors import EvaluationError
 from repro.exec.arena import CompactSet, PatternArena
-from repro.exec.cache import PlanCache, canonicalize
+from repro.exec.cache import PlanCache, canonical_step
 from repro.exec.columns import compile_pattern_select, compiled_select_probe
 from repro.exec.kernels import (
     k_associate,
@@ -103,13 +103,7 @@ __all__ = ["CompactNode", "ExecContext", "ObjectIsland", "PhysicalPlanner"]
 class ExecContext:
     """Everything a physical node needs at run time."""
 
-    __slots__ = (
-        "graph",
-        "cache",
-        "use_cache",
-        "arena",
-        "feedback",
-    )
+    __slots__ = ("graph", "cache", "use_cache", "arena")
 
     def __init__(
         self,
@@ -117,15 +111,11 @@ class ExecContext:
         cache: PlanCache,
         use_cache: bool,
         arena: PatternArena,
-        feedback=None,
     ) -> None:
         self.graph = graph
         self.cache = cache
         self.use_cache = use_cache
         self.arena = arena
-        # Optional FeedbackStore: actual sub-plan cardinalities recorded
-        # on cache misses (true executions) for the adaptive cost model.
-        self.feedback = feedback
 
 
 class CompactNode:
@@ -203,19 +193,8 @@ class CompactNode:
                 return hit
             result = step(ctx, trace, span)
             ctx.cache.put(self.key, result, self.deps)
-            self._record(ctx, len(result))
             return result
         return step(ctx, trace, span)
-
-    def _record(self, ctx: ExecContext, actual: int) -> None:
-        """Record the actual cardinality of one true (cache-miss) run.
-
-        Only the cache-miss path records, so estimates always describe a
-        *previous* execution — EXPLAIN runs bypass the cache and never
-        feed the store, keeping q-error measurements honest.
-        """
-        if ctx.feedback is not None and self.key is not None:
-            ctx.feedback.record(self.key, actual, self.deps)
 
     def _execute(self, ctx, trace, span) -> AssociationSet:
         return ctx.arena.decode_set(self._run_kernel(ctx, trace, span))
@@ -625,7 +604,10 @@ class PhysicalPlanner:
             return CompactLiteral(expr, (), None, frozenset())
 
         children = tuple(self._lower(child) for child in expr.children())
-        key = canonicalize(expr)
+        # Leaves carry no key: a leaf is its own canonical form.
+        key = canonical_step(
+            expr, tuple(c.expr if c.key is None else c.key for c in children)
+        )
         deps = frozenset().union(*(c.deps for c in children))
 
         if isinstance(expr, (Associate, Complement, NonAssociate)):

@@ -3,11 +3,10 @@
 An :class:`EventLog` is the operational journal of a running engine or
 service: every noteworthy state transition — a request starting or
 finishing, an admission shed, a deadline expiry, a mutation batch, a
-plan-cache invalidation, a statistics refresh, an adaptive re-plan, a
-slow-query capture — lands as one :class:`Event` carrying a type, a
-monotonically increasing sequence number, a wall-clock timestamp, an
-optional ``trace_id`` correlating it with a distributed trace, and free-
-form JSON data.
+plan-cache invalidation, a statistics refresh, a slow-query capture —
+lands as one :class:`Event` carrying a type, a monotonically increasing
+sequence number, a wall-clock timestamp, an optional ``trace_id``
+correlating it with a distributed trace, and free-form JSON data.
 
 The ring is append-capped: when ``capacity`` events are held, emitting a
 new one drops the oldest and bumps ``repro_events_dropped_total`` — an

@@ -46,8 +46,8 @@ class ExplainNode:
     #: "object-island", ...); None when the naive logical evaluator
     #: produced the trace.
     strategy: str | None = None
-    #: Where the estimate came from ("exact", "histogram", "feedback",
-    #: "uniform"); None for reports built before sources were tracked.
+    #: Where the estimate came from ("exact", "histogram", "uniform");
+    #: None for reports built before sources were tracked.
     source: str | None = None
     #: Cardinality of the compiled selection bitmask a ``compact-select``
     #: node intersected with its operand (the number of vertex ids whose

@@ -12,7 +12,7 @@ the Figure 10 example.  This package makes that concrete:
 * :mod:`repro.optimizer.cost` — a cardinality/cost model fed by object
   graph statistics;
 * :mod:`repro.optimizer.stats` — the ANALYZE-style statistics catalog
-  (histograms, fan-out distributions, execution feedback) behind it;
+  (histograms, fan-out distributions) behind it;
 * :mod:`repro.optimizer.planner` — bounded exploration of the rewrite
   space and cheapest-plan selection.
 """
@@ -21,7 +21,7 @@ from repro.optimizer.analysis import is_statically_homogeneous, static_classes
 from repro.optimizer.cost import CostModel, Estimate
 from repro.optimizer.planner import Optimizer, PlanCandidate
 from repro.optimizer.rewrites import SAFE_RULES, UNSAFE_RULES, RewriteRule
-from repro.optimizer.stats import FeedbackStore, StatisticsCatalog
+from repro.optimizer.stats import StatisticsCatalog
 
 __all__ = [
     "Optimizer",
@@ -29,7 +29,6 @@ __all__ = [
     "CostModel",
     "Estimate",
     "StatisticsCatalog",
-    "FeedbackStore",
     "RewriteRule",
     "SAFE_RULES",
     "UNSAFE_RULES",

@@ -19,12 +19,9 @@ has been analyzed), measured statistics replace the guesses: equality and
 range selectivities come from equi-depth histograms (conjunction and
 disjunction combined under independence), Associate/Complement fan-outs
 from the measured fan-out distributions, and A-Intersect matching from
-the degree-collision probability.  When a
-:class:`~repro.optimizer.stats.FeedbackStore` is supplied, actual
-cardinalities recorded by the executor override estimates for sub-plans
-that have already run.  Every :class:`Estimate` carries its ``source``
-(``exact`` / ``histogram`` / ``feedback`` / ``uniform``) so EXPLAIN can
-say where a number came from.
+the degree-collision probability.  Every :class:`Estimate` carries its
+``source`` (``exact`` / ``histogram`` / ``uniform``) so EXPLAIN can say
+where a number came from.
 
 ``cost`` accumulates the work of producing every intermediate pattern —
 the quantity the paper's §4 discussion of heterogeneous vs homogeneous
@@ -99,9 +96,8 @@ class Estimate:
     """Estimated output cardinality and cumulative work of an expression.
 
     ``source`` names where the cardinality came from: ``"exact"`` (known
-    by construction), ``"histogram"`` (measured statistics), ``"feedback"``
-    (actual cardinality of a previous run) or ``"uniform"`` (the static
-    fallback assumptions).
+    by construction), ``"histogram"`` (measured statistics) or
+    ``"uniform"`` (the static fallback assumptions).
     """
 
     cardinality: float
@@ -119,24 +115,15 @@ class Estimate:
 class CostModel:
     """Estimates expressions against one object graph's statistics.
 
-    ``stats`` (optional) supplies measured statistics; ``feedback``
-    (optional) supplies recorded actuals and defaults to the catalog's
-    own store when a catalog is given.  With neither, behaviour is the
-    original uniformity model.
+    ``stats`` (optional) supplies measured statistics; without it, or
+    before it has been analyzed, behaviour is the original uniformity
+    model.
     """
 
-    def __init__(
-        self,
-        graph: ObjectGraph,
-        stats=None,
-        feedback=None,
-    ) -> None:
+    def __init__(self, graph: ObjectGraph, stats=None) -> None:
         self.graph = graph
         self.schema = graph.schema
         self.stats = stats
-        if feedback is None and stats is not None:
-            feedback = stats.feedback
-        self.feedback = feedback
 
     # ------------------------------------------------------------------
     # statistics accessors
@@ -166,30 +153,12 @@ class CostModel:
     # ------------------------------------------------------------------
 
     def estimate(self, expr: Expr) -> Estimate:
-        """Estimated cardinality and cumulative cost of ``expr``.
-
-        Recorded feedback (an actual cardinality from a previous run of
-        the same canonical sub-plan) overrides the model's estimate;
-        estimates are clamped non-negative either way.
-        """
+        """Estimated cardinality and cumulative cost of ``expr``, both
+        clamped non-negative."""
         est = self._estimate(expr)
-        card = max(est.cardinality, 0.0)
-        cost = max(est.cost, 0.0)
-        actual = self._feedback_actual(expr)
-        if actual is not None:
-            # Downstream work scales with the true cardinality, so shift
-            # the cumulative cost by the estimation error as well.
-            cost = max(cost + (actual - card), 0.0)
-            return Estimate(float(actual), cost, "feedback")
-        return Estimate(card, cost, est.source)
-
-    def _feedback_actual(self, expr: Expr) -> int | None:
-        if self.feedback is None or len(self.feedback) == 0:
-            return None
-        from repro.exec.cache import canonicalize  # local: avoid cycle
-
-        entry = self.feedback.lookup(canonicalize(expr))
-        return entry.actual if entry is not None else None
+        return Estimate(
+            max(est.cardinality, 0.0), max(est.cost, 0.0), est.source
+        )
 
     def _estimate(self, expr: Expr) -> Estimate:
         if isinstance(expr, ClassExtent):

@@ -124,7 +124,7 @@ class Optimizer:
 
         Includes a per-node estimate breakdown of the cheapest plan so a
         bad choice is diagnosable: each node reports where its cardinality
-        came from (``exact`` / ``histogram`` / ``feedback`` / ``uniform``).
+        came from (``exact`` / ``histogram`` / ``uniform``).
         """
         candidates = sorted(
             self.equivalents(expr), key=lambda c: c.estimate.cost

@@ -1,39 +1,30 @@
-"""Statistics catalog and execution feedback for data-driven planning.
+"""Statistics catalog for data-driven estimates.
 
 §4 of the paper motivates the algebraic laws as a search space of
 alternative expressions "with different performances" — but ranking those
-alternatives well requires knowing the data.  This module holds the two
-knowledge sources the :class:`~repro.optimizer.cost.CostModel` consumes:
+alternatives well requires knowing the data.  :class:`StatisticsCatalog`
+holds what the :class:`~repro.optimizer.cost.CostModel` consumes:
+``ANALYZE``-style measured statistics — per-class extent counts and
+distinct counts, equi-depth histograms over primitive-class values, and
+per-association fan-out *distributions* (mean, quantiles, max,
+participation and a degree-collision probability for both the regular and
+the complement fan-out — not just means).  It is populated by
+:meth:`StatisticsCatalog.analyze` (full scan, or sampled with
+``sample=N``), kept fresh incrementally from the same mutation events the
+executor's :class:`~repro.exec.arena.PatternArena` consumes, and stamped
+with a monotonically increasing ``version``.
 
-* :class:`StatisticsCatalog` — ``ANALYZE``-style measured statistics:
-  per-class extent counts and distinct counts, equi-depth histograms over
-  primitive-class values, and per-association fan-out *distributions*
-  (mean, quantiles, max, participation and a degree-collision probability
-  for both the regular and the complement fan-out — not just means).
-  Populated by :meth:`StatisticsCatalog.analyze` (full scan, or sampled
-  with ``sample=N``), kept fresh incrementally from the same mutation
-  events the executor's :class:`~repro.exec.arena.PatternArena` consumes,
-  and stamped with a monotonically increasing ``version``.
-
-* :class:`FeedbackStore` — actual cardinalities per canonical sub-plan,
-  recorded by the executor as queries run (the numbers ``EXPLAIN
-  ANALYZE`` pairs with estimates).  The cost model consults feedback
-  before estimating, so a previously executed sub-plan is costed with its
-  *true* cardinality and a mis-planned query converges after one run.
-
-Both structures are advisory: dropping them never changes results, only
-plan choice.  Every refresh notifies subscribers (the plan cache drops
-plan choices stamped with an older stats version for the refreshed
-classes) and bumps ``repro_stats_refresh_total`` / ``repro_stats_version``.
+The catalog is advisory: dropping it never changes results, only
+estimates.  Every refresh notifies subscribers and bumps
+``repro_stats_refresh_total`` / ``repro_stats_version``.
 """
 
 from __future__ import annotations
 
 import random
-import threading
-from collections import Counter, OrderedDict
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Any, Callable, Hashable, Iterable
+from typing import Any, Callable, Iterable
 
 from repro.objects.graph import ObjectGraph
 from repro.obs.metrics import MetricsRegistry
@@ -43,15 +34,8 @@ __all__ = [
     "ClassStats",
     "EquiDepthHistogram",
     "FanoutSummary",
-    "FeedbackEntry",
-    "FeedbackStore",
     "StatisticsCatalog",
 ]
-
-#: Dependency wildcard (mirrors :data:`repro.exec.cache.ANY` without the
-#: import — keeping this module free of :mod:`repro.exec` imports avoids a
-#: package-initialization cycle).
-ANY = "*"
 
 #: Default number of equi-depth histogram buckets.
 DEFAULT_BINS = 16
@@ -252,75 +236,6 @@ def _quantile(sorted_values: list[float], zeros: int, q: float) -> float:
 
 
 # ----------------------------------------------------------------------
-# execution feedback
-# ----------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class FeedbackEntry:
-    """One observed actual cardinality for a canonical sub-plan."""
-
-    actual: int
-    deps: frozenset[str]
-    stats_version: int
-
-
-class FeedbackStore:
-    """Bounded, thread-safe map: canonical sub-plan → actual cardinality.
-
-    Keys are canonical expressions (hashable); values remember the class
-    dependencies of the sub-plan so mutation events can invalidate the
-    actuals they made stale.  Insertion order doubles as the eviction
-    order (oldest first) once ``capacity`` is exceeded.
-    """
-
-    def __init__(self, capacity: int = 4096) -> None:
-        self.capacity = capacity
-        #: Stats version stamped onto new entries (kept current by the
-        #: owning catalog; standalone stores stamp 0).
-        self.stats_version = 0
-        self._entries: "OrderedDict[Hashable, FeedbackEntry]" = OrderedDict()
-        self._lock = threading.Lock()
-
-    def record(
-        self, key: Hashable, actual: int, deps: frozenset[str] = frozenset()
-    ) -> None:
-        entry = FeedbackEntry(int(actual), deps, self.stats_version)
-        with self._lock:
-            self._entries.pop(key, None)
-            self._entries[key] = entry
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
-
-    def lookup(self, key: Hashable) -> FeedbackEntry | None:
-        with self._lock:
-            return self._entries.get(key)
-
-    def invalidate_classes(self, classes: Iterable[str]) -> int:
-        """Drop entries depending on any of ``classes``; return the count."""
-        touched = set(classes)
-        with self._lock:
-            stale = [
-                key
-                for key, entry in self._entries.items()
-                if ANY in entry.deps or entry.deps & touched
-            ]
-            for key in stale:
-                del self._entries[key]
-        return len(stale)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __str__(self) -> str:
-        return f"FeedbackStore({len(self._entries)} entr(y/ies))"
-
-
-# ----------------------------------------------------------------------
 # the catalog
 # ----------------------------------------------------------------------
 
@@ -330,9 +245,10 @@ class StatisticsCatalog:
 
     Until :meth:`analyze` has run (``version == 0``) the catalog is
     dormant and consumers fall back to the uniformity model.  After a
-    scan, mutation events accumulate per-class staleness counters; once a
-    class has absorbed more than ``stale_fraction`` of its analyzed
-    count (floored at ``min_stale_events``), that class is automatically
+    scan, mutation events accumulate staleness counters — ``link`` and
+    ``unlink`` per association, every other kind per touched class.  Once
+    a class or association has absorbed more than ``stale_fraction`` of
+    its analyzed count (floored at ``min_stale_events``), it alone is
     re-analyzed — bumping the version and notifying subscribers, exactly
     like an explicit targeted :meth:`analyze`.
     """
@@ -352,10 +268,12 @@ class StatisticsCatalog:
         self.min_stale_events = min_stale_events
         self.histogram_bins = histogram_bins
         self.version = 0
-        self.feedback = FeedbackStore()
         self._classes: dict[str, ClassStats] = {}
         self._assocs: dict[tuple[str, str, str], AssociationStats] = {}
+        #: Staleness counters: class name → events, and association key →
+        #: link/unlink events.
         self._dirty: Counter = Counter()
+        self._assoc_dirty: Counter = Counter()
         self._subscribers: list[Callable[[frozenset[str]], None]] = []
         #: Optional column-store provider (duck-typed: ``is_materialized``
         #: + ``values_snapshot``).  Attached by the executor; when a
@@ -392,7 +310,8 @@ class StatisticsCatalog:
         Purely an accelerator: analyze passes over a class whose column is
         materialized read values straight out of the typed column, and the
         staleness auto-refresh downgrades to a column-only rescan for such
-        classes (association fan-outs are left to the normal thresholds).
+        classes (association fan-outs refresh on their own link/unlink
+        counters).
         """
         self._columns = provider
 
@@ -407,8 +326,7 @@ class StatisticsCatalog:
 
         ``classes`` restricts the pass to those classes (and the
         associations incident to them); the statistics of every other
-        class — and any plan choice depending only on them — survive.
-        Returns the new stats version.
+        class survive.  Returns the new stats version.
         """
         rng = random.Random(seed)
         if classes is None:
@@ -423,14 +341,17 @@ class StatisticsCatalog:
                 self._assocs[assoc.key] = self._analyze_association(
                     assoc, sample, rng
                 )
+                self._assoc_dirty.pop(assoc.key, None)
         for cls in targets:
             self._dirty.pop(cls, None)
+        return self._publish(frozenset(targets), reason)
+
+    def _publish(self, refreshed: frozenset[str], reason: str) -> int:
+        """Bump the version, count the refresh and notify subscribers."""
         self.version += 1
-        self.feedback.stats_version = self.version
         if self.metrics is not None:
             self._m_refresh.inc(reason=reason)
             self._m_version.set(self.version)
-        refreshed = frozenset(targets)
         for fn in self._subscribers:
             fn(refreshed)
         return self.version
@@ -517,14 +438,19 @@ class StatisticsCatalog:
     def apply(self, event) -> None:
         """Fold one mutation event into the staleness accounting.
 
-        Dormant catalogs ignore events entirely.  Analyzed ones count
-        events per touched class and re-analyze a class (auto-refresh)
-        once its counter crosses the staleness threshold.
+        Dormant catalogs ignore events entirely.  Analyzed ones count a
+        ``link``/``unlink`` against its association and re-analyze that
+        association alone once its counter crosses the staleness
+        threshold; every other event counts against the touched classes,
+        each re-analyzed (auto-refresh) once its counter crosses.
         """
         if not self.analyzed:
             return
+        if event.kind in ("link", "unlink"):
+            a, b = event.instances
+            self._count_link(self.schema.resolve(a.cls, b.cls, event.association))
+            return
         touched = {i.cls for i in event.instances}
-        self.feedback.invalidate_classes(touched)
         for cls in touched:
             self._dirty[cls] += 1
         stale = sorted(cls for cls in touched if self._dirty[cls] >= self._threshold(cls))
@@ -532,13 +458,27 @@ class StatisticsCatalog:
             return
         # Classes whose typed column is materialized get a targeted cheap
         # rescan — one pass over the column's live values, no association
-        # re-analysis (fan-outs keep their own staleness accounting).
+        # re-analysis (fan-outs refresh on their own link/unlink counters).
         columnar = [cls for cls in stale if self._column_backed(cls)]
         rest = [cls for cls in stale if cls not in columnar]
         if columnar:
             self._rescan_columns(columnar)
         if rest:
             self.analyze(classes=rest, reason="auto")
+
+    def _count_link(self, assoc) -> None:
+        """One link/unlink against ``assoc``; re-analyze it once stale."""
+        self._assoc_dirty[assoc.key] += 1
+        stats = self._assocs.get(assoc.key)
+        base = stats.edges if stats is not None else self.graph.edge_count(assoc)
+        threshold = max(self.min_stale_events, int(self.stale_fraction * base))
+        if self._assoc_dirty[assoc.key] < threshold:
+            return
+        self._assocs[assoc.key] = self._analyze_association(
+            assoc, None, random.Random(0)
+        )
+        self._assoc_dirty.pop(assoc.key, None)
+        self._publish(frozenset((assoc.left, assoc.right)), "auto-assoc")
 
     def _column_backed(self, cls: str) -> bool:
         """Whether ``cls`` can be auto-refreshed from its typed column."""
@@ -565,15 +505,7 @@ class StatisticsCatalog:
                     cls, len(values), distinct, histogram
                 )
             self._dirty.pop(cls, None)
-        self.version += 1
-        self.feedback.stats_version = self.version
-        if self.metrics is not None:
-            self._m_refresh.inc(reason="auto-column")
-            self._m_version.set(self.version)
-        refreshed = frozenset(classes)
-        for fn in self._subscribers:
-            fn(refreshed)
-        return self.version
+        return self._publish(frozenset(classes), "auto-column")
 
     def _threshold(self, cls: str) -> int:
         stats = self._classes.get(cls)
@@ -581,10 +513,9 @@ class StatisticsCatalog:
         return max(self.min_stale_events, int(self.stale_fraction * base))
 
     def on_out_of_band(self) -> None:
-        """The graph moved without events: feedback is untrustworthy and
-        every statistic is suspect — clear the former, re-analyze if the
-        catalog was live (mirrors the executor's full index rebuild)."""
-        self.feedback.clear()
+        """The graph moved without events: every statistic is suspect —
+        re-analyze if the catalog was live (mirrors the executor's full
+        index rebuild)."""
         if self.analyzed:
             self.analyze(reason="out-of-band")
 
@@ -641,8 +572,7 @@ class StatisticsCatalog:
         """A human-readable statistics table (the ``\\stats`` view)."""
         lines = [
             f"StatisticsCatalog version {self.version} — "
-            f"{len(self._classes)} class(es), {len(self._assocs)} association(s), "
-            f"{len(self.feedback)} feedback entr(y/ies)"
+            f"{len(self._classes)} class(es), {len(self._assocs)} association(s)"
         ]
         if not self.analyzed:
             lines.append("  (not analyzed yet — run ANALYZE)")

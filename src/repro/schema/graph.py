@@ -112,7 +112,10 @@ class SchemaGraph:
         self.name = name
         self._classes: dict[str, ClassDef] = {}
         self._associations: dict[tuple[str, str, str], Association] = {}
-        self._incident: dict[str, set[tuple[str, str, str]]] = {}
+        #: class → its associations, keyed by canonical key in declaration
+        #: order (a dict, not a set: iteration order must not depend on
+        #: hashing).
+        self._incident: dict[str, dict[tuple[str, str, str], Association]] = {}
 
     # ------------------------------------------------------------------
     # classes
@@ -129,7 +132,7 @@ class SchemaGraph:
             raise DuplicateDefinitionError(f"class {name!r} already defined")
         cdef = ClassDef(name, kind, doc)
         self._classes[name] = cdef
-        self._incident[name] = set()
+        self._incident[name] = {}
         return cdef
 
     def add_entity_class(self, name: str, doc: str = "") -> ClassDef:
@@ -187,8 +190,8 @@ class SchemaGraph:
                 f"association {name!r} between {left!r} and {right!r} already defined"
             )
         self._associations[assoc.key] = assoc
-        self._incident[left].add(assoc.key)
-        self._incident[right].add(assoc.key)
+        self._incident[left][assoc.key] = assoc
+        self._incident[right][assoc.key] = assoc
         return assoc
 
     def add_generalization(self, subclass: str, superclass: str) -> Association:
@@ -201,11 +204,12 @@ class SchemaGraph:
         )
 
     def associations_between(self, a: str, b: str) -> tuple[Association, ...]:
-        """All edges joining classes ``a`` and ``b`` (possibly none)."""
+        """All edges joining classes ``a`` and ``b`` (possibly none), in
+        declaration order."""
         lo, hi = sorted((a, b))
         return tuple(
             assoc
-            for key, assoc in self._associations.items()
+            for key, assoc in self._incident.get(a, {}).items()
             if key[0] == lo and key[1] == hi
         )
 
@@ -244,7 +248,8 @@ class SchemaGraph:
         """Every association touching class ``cls``."""
         if cls not in self._classes:
             raise UnknownClassError(cls)
-        return tuple(self._associations[key] for key in sorted(self._incident[cls]))
+        incident = self._incident[cls]
+        return tuple(incident[key] for key in sorted(incident))
 
     def neighbors(self, cls: str) -> frozenset[str]:
         """Classes adjacent to ``cls`` in the schema graph."""

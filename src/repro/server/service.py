@@ -35,8 +35,8 @@ observability pipeline has three more pieces (``docs/observability.md``,
 
 * a **structured event log** (:class:`~repro.obs.events.EventLog`)
   shared with every mounted database: request start/finish, admission
-  sheds, timeouts, mutation batches, plan-cache invalidations, stats
-  refreshes and replans all land in one bounded ring, drained by the
+  sheds, timeouts, mutation batches, plan-cache invalidations and stats
+  refreshes all land in one bounded ring, drained by the
   ``events`` wire op / ``/events`` admin route / ``repro events`` CLI;
 * **cross-process trace propagation**: a request may carry a
   ``trace_ctx`` (``trace_id`` + ``parent_span_id``); the service stamps

@@ -17,9 +17,10 @@ import random
 import hypothesis.strategies as st
 from hypothesis import HealthCheck, given, settings
 
+from repro.core.expression import ClassExtent, Literal
 from repro.datagen import chain_dataset, figure10_dataset, workload
-from repro.exec import Executor
-from tests.properties.expr_strategies import expressions
+from repro.exec import Executor, canonicalize
+from tests.properties.expr_strategies import chain_expressions, expressions
 from tests.properties.strategies import object_graphs
 
 RELAXED = settings(
@@ -39,6 +40,20 @@ def test_executor_matches_reference_all_modes(data):
     assert executor.run(expr) == reference, "cold cache diverged"
     assert executor.run(expr) == reference, "warm cache diverged"
     assert executor.run(expr, use_cache=False) == reference, "uncached diverged"
+
+
+@given(st.data())
+@RELAXED
+def test_plan_keys_are_canonical_forms(data):
+    """The planner keys each node from its children's keys in one step;
+    that must give the same key canonicalizing the node's subtree does."""
+    graph = data.draw(object_graphs(max_extent=3, valued=True))
+    expr = data.draw(st.one_of(expressions(depth=3), chain_expressions()))
+    for node, _ in Executor(graph).plan(expr).walk():
+        if node.key is None:
+            assert isinstance(node.expr, (ClassExtent, Literal))
+        else:
+            assert node.key == canonicalize(node.expr), str(node.expr)
 
 
 @given(st.data())

@@ -1,13 +1,13 @@
 """Estimate-quality properties of the statistics catalog.
 
-Three guarantees back the adaptive planner:
+Three guarantees back the cost model's estimates:
 
 * on uniform data, histogram equality estimates stay within a bounded
   q-error of the truth (equi-depth buckets bound per-bucket error);
 * on skewed datagen data, histogram selectivities strictly beat the fixed
   ``SELECT_SELECTIVITY`` guess for both the hot and the rare value;
-* a stats refresh invalidates exactly the remembered plan choices that
-  depend on the refreshed classes — untouched classes keep theirs.
+* a targeted ANALYZE replaces exactly the statistics of the refreshed
+  classes and their associations — untouched ones keep theirs.
 """
 
 import hypothesis.strategies as st
@@ -101,38 +101,25 @@ def test_histogram_beats_fixed_selectivity_on_skew(extent, seed):
 
 @given(st.integers(min_value=0, max_value=2**31))
 @settings(max_examples=10, deadline=None)
-def test_stats_refresh_invalidates_only_affected_plans(seed):
-    """Targeted ANALYZE drops remembered plan choices for the refreshed
-    classes; plans over untouched classes survive with their entries."""
+def test_targeted_analyze_keeps_untouched_stats(seed):
+    """Targeted ANALYZE rebuilds the refreshed classes' statistics and
+    bumps the version once; every other class and association keeps the
+    very same statistics objects."""
     dataset = skewed_dataset(extent_size=60, seed=seed)
     db = Database(dataset.schema, dataset.graph)
     db.analyze()
-    db.replan_threshold = 1e9
-    # two structurally independent families: L—M—R and A—Hub—S1
-    queries = {
-        "L": Select(
-            ClassExtent("L"),
-            Comparison(ClassValues("L"), "=", Const(dataset.rare_value)),
-        )
-        * ClassExtent("M"),
-        "A": Select(
-            ClassExtent("A"),
-            Comparison(ClassValues("A"), "=", Const(dataset.rare_value)),
-        )
-        * ClassExtent("Hub"),
-    }
-    from repro.exec.cache import canonicalize
+    stats = db.stats
+    classes = {c: stats.class_stats(c) for c in db.schema.class_names}
+    assocs = {a.key: stats.association_stats(a.key) for a in db.schema.associations}
+    version = stats.version
 
-    for expr in queries.values():
-        db.query(expr, optimize=True)
-    keys = {name: canonicalize(expr) for name, expr in queries.items()}
-    cache = db.executor.cache
-    entries_before = {name: cache.get_plan(key) for name, key in keys.items()}
-    assert all(entry is not None for entry in entries_before.values())
+    stats.analyze(classes=["L"])
 
-    db.analyze(classes=["L"])
-
-    assert cache.get_plan(keys["L"]) is None, "L-dependent plan must drop"
-    assert cache.get_plan(keys["A"]) is entries_before["A"], (
-        "A-family plan depends only on untouched classes and must survive"
-    )
+    assert stats.version == version + 1
+    assert stats.class_stats("L") is not classes["L"]
+    for cls, before in classes.items():
+        if cls != "L":
+            assert stats.class_stats(cls) is before, cls
+    for assoc in db.schema.associations:
+        refreshed = "L" in (assoc.left, assoc.right)
+        assert (stats.association_stats(assoc.key) is assocs[assoc.key]) != refreshed

@@ -1,4 +1,4 @@
-"""Statistics catalog: histograms, fan-outs, feedback, incremental upkeep."""
+"""Statistics catalog: histograms, fan-outs, incremental upkeep."""
 
 import pytest
 
@@ -7,11 +7,7 @@ from repro.core.predicates import ClassValues, Comparison, Const
 from repro.datagen import skewed_dataset
 from repro.engine.database import Database
 from repro.optimizer.cost import CostModel
-from repro.optimizer.stats import (
-    EquiDepthHistogram,
-    FeedbackStore,
-    StatisticsCatalog,
-)
+from repro.optimizer.stats import EquiDepthHistogram, StatisticsCatalog
 
 
 @pytest.fixture(scope="module")
@@ -59,30 +55,6 @@ class TestEquiDepthHistogram:
         hist = EquiDepthHistogram.build([])
         assert hist.total == 0
         assert hist.selectivity_eq(1) == 0.0
-
-
-class TestFeedbackStore:
-    def test_record_lookup_invalidate(self):
-        store = FeedbackStore()
-        store.record("k1", 42, frozenset({"A"}))
-        store.record("k2", 7, frozenset({"B"}))
-        assert store.lookup("k1").actual == 42
-        assert store.invalidate_classes({"A"}) == 1
-        assert store.lookup("k1") is None
-        assert store.lookup("k2").actual == 7
-
-    def test_wildcard_deps_always_invalidated(self):
-        store = FeedbackStore()
-        store.record("k", 1, frozenset({"*"}))
-        assert store.invalidate_classes({"anything"}) == 1
-
-    def test_capacity_evicts_oldest(self):
-        store = FeedbackStore(capacity=2)
-        for i in range(3):
-            store.record(f"k{i}", i)
-        assert len(store) == 2
-        assert store.lookup("k0") is None
-        assert store.lookup("k2").actual == 2
 
 
 class TestStatisticsCatalog:
@@ -155,20 +127,55 @@ class TestStatisticsCatalog:
         assert catalog.version > version
         assert catalog.class_stats("L").count == 20 + catalog.min_stale_events
 
-    def test_mutation_invalidates_feedback(self, analyzed_db):
-        catalog = analyzed_db.stats
-        catalog.feedback.record("k", 3, frozenset({"L"}))
-        analyzed_db.insert_value("L", 777)
-        assert catalog.feedback.lookup("k") is None
+    def test_link_events_refresh_association_fanouts(self):
+        """Fan-outs refresh on their own counter even when both end
+        classes' columns are materialized, so class refreshes run as
+        column-only rescans that skip the association."""
+        from repro.datagen import valued_chain_dataset
+
+        # The served benchmark's dataset (benchmarks/e2e/loadgen.py).
+        dataset = valued_chain_dataset(
+            n_classes=4, extent_size=300, density=0.02, seed=11
+        )
+        db = Database.from_dataset(dataset)
+        db.query("sigma(V0)[V0 > 25] * V1")
+        db.query("sigma(V1)[V1 > 25]")
+        assoc = db.schema.resolve("V0", "V1")
+        linked = set(db.graph.edges(assoc))
+        analyzed = db.stats.association_stats(assoc.key).edges
+        threshold = max(
+            db.stats.min_stale_events, int(db.stats.stale_fraction * analyzed)
+        )
+        free = (
+            (a, b)
+            for a in sorted(db.graph.extent("V0"))
+            for b in sorted(db.graph.extent("V1"))
+            if (a, b) not in linked
+        )
+        for _ in range(threshold):
+            db.link(*next(free))
+        stats = db.stats.association_stats(assoc.key)
+        assert stats.edges == db.graph.edge_count(assoc) == analyzed + threshold
+        refreshes = db.metrics.counter("repro_stats_refresh_total")
+        assert refreshes.value(reason="auto-assoc") == 1
+
+    def test_stats_counters_flow_through_shared_registry(self, skewed):
+        """`repro serve` renders Database.metrics: the catalog's gauge and
+        counters must be visible in the same Prometheus frame."""
+        from repro.obs import metrics_to_prometheus
+
+        db = Database(skewed.schema, skewed.graph)
+        db.analyze()
+        frame = metrics_to_prometheus(db.metrics)
+        assert "repro_stats_version 1" in frame
+        assert "repro_stats_refresh_total" in frame
 
     def test_out_of_band_rebuild(self, skewed):
         catalog = StatisticsCatalog(skewed.graph)
         catalog.analyze()
-        catalog.feedback.record("k", 3)
         version = catalog.version
         catalog.on_out_of_band()
         assert catalog.version == version + 1
-        assert len(catalog.feedback) == 0
 
     def test_refresh_metrics(self, skewed):
         from repro.obs import MetricsRegistry
@@ -200,19 +207,6 @@ class TestCostModelWithStats:
         estimate = model.estimate(expr)
         assert estimate.source == "histogram"
         assert estimate.cardinality < 0.33 * skewed.extent_size / 2
-
-    def test_feedback_overrides_estimate(self, skewed):
-        from repro.exec.cache import canonicalize, expr_dependencies
-
-        catalog = StatisticsCatalog(skewed.graph)
-        catalog.analyze()
-        model = CostModel(skewed.graph, stats=catalog)
-        expr = self.rare_select(skewed)
-        actual = len(expr.evaluate(skewed.graph))
-        catalog.feedback.record(canonicalize(expr), actual, expr_dependencies(expr))
-        estimate = model.estimate(expr)
-        assert estimate.source == "feedback"
-        assert estimate.cardinality == actual
 
     def test_difference_divide_capped_at_left(self, skewed):
         model = CostModel(skewed.graph)

@@ -51,10 +51,17 @@ class TestAssociations:
 
     def test_resolve_ambiguous_requires_name(self, sg):
         sg.add_association("A", "B", "r1")
-        sg.add_association("A", "B", "r2")
+        sg.add_association("A", "V")
+        sg.add_association("B", "A", "r2")
+        sg.add_association("A", "B", "a0")
         with pytest.raises(AmbiguousAssociationError):
             sg.resolve("A", "B")
         assert sg.resolve("A", "B", "r2").name == "r2"
+        # Declaration order, from either end, whatever PYTHONHASHSEED is.
+        for a, b in (("A", "B"), ("B", "A")):
+            names = [assoc.name for assoc in sg.associations_between(a, b)]
+            assert names == ["r1", "r2", "a0"]
+        assert sg.associations_between("B", "V") == ()
 
     def test_resolve_missing(self, sg):
         with pytest.raises(UnknownAssociationError):
